@@ -6,10 +6,14 @@
 //!
 //! * verifies the sharded report is **byte-identical** to the sequential one
 //!   (the engine's cardinal invariant — a mismatch aborts the run), and
-//! * records the wall-clock time and the speedup over the sequential engine.
+//! * records the wall-clock time and the speedup over the sequential engine,
+//!   plus the storage the point preallocates (`footprint_mb`: the pipeline,
+//!   VC-slot and arena footprint summed over the shards, an exact count that
+//!   peak RSS — process-wide — cannot give per point).
 //!
-//! Output: `results/shard_scaling.csv` (`h,shards,wall_ms,speedup,identical`;
-//! the `shards = 0` row is the sequential-engine baseline) and, with
+//! Output: `results/shard_scaling.csv`
+//! (`h,shards,wall_ms,speedup,identical,footprint_mb`; the `shards = 0` row is
+//! the sequential-engine baseline) and, with
 //! `--json FILE`, one `{"name": "shard_scaling/h4/shards2", "ns_per_iter": …}`
 //! object per point in the same shape the bench-trend tooling
 //! (`parse_bench_entries`, `bench_gate`, `BENCH_history.jsonl`) consumes.
@@ -20,12 +24,16 @@
 //! cargo run --release -p dragonfly_bench --bin shard_scaling -- --json shard.jsonl
 //! ```
 //!
-//! `--quick` shrinks to h ∈ {2, 4} with short windows for CI smoke runs.
+//! Every point runs 300/600/600 warm-up/measure/drain cycles unless
+//! `--warmup`/`--measure`/`--drain` say otherwise; `--quick` shrinks to
+//! h ∈ {2, 4} for CI smoke runs.
 //! Points are timed one at a time (`--jobs` does not apply here: the shards
 //! themselves are the parallelism being measured).
 
 use dragonfly_bench::HarnessArgs;
-use dragonfly_core::{CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly_core::{
+    CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, StorageFootprint, TrafficKind,
+};
 use std::io::Write;
 use std::time::Instant;
 
@@ -38,16 +46,16 @@ fn point_spec(args: &HarnessArgs, h: usize) -> ExperimentSpec {
     spec.routing = RoutingKind::Olm;
     spec.traffic = TrafficKind::Uniform;
     spec.offered_load = 0.2;
-    // Fixed, deliberately modest windows: the study measures engine scaling,
-    // not steady-state convergence.  --warmup/--measure override as usual.
-    if args.warmup == HarnessArgs::default().warmup {
-        spec.warmup = 300;
-    }
-    if args.measure == HarnessArgs::default().measure {
-        spec.measure = 600;
-        spec.drain = 600;
-    }
+    // Fixed, deliberately modest windows, with or without --quick: the study
+    // measures engine scaling, not steady-state convergence.  Explicit
+    // --warmup/--measure/--drain override as usual.
+    (spec.warmup, spec.measure, spec.drain) = args.windows_or(300, 600, 600);
     spec
+}
+
+/// A footprint in MB of 2^20 bytes, the unit peak RSS is reported in.
+fn mb(footprint: StorageFootprint) -> f64 {
+    footprint.bytes() as f64 / (1024.0 * 1024.0)
 }
 
 fn main() {
@@ -62,14 +70,14 @@ fn main() {
         .unwrap_or(4);
 
     let path = args.csv_path("shard_scaling.csv");
-    let mut csv =
-        CsvWriter::create(&path, "h,shards,wall_ms,speedup,identical").expect("cannot create CSV");
+    let mut csv = CsvWriter::create(&path, "h,shards,wall_ms,speedup,identical,footprint_mb")
+        .expect("cannot create CSV");
     let mut json_entries: Vec<(String, f64)> = Vec::new();
 
     println!("== Sharded-engine strong scaling (OLM, UN, load 0.2) ==");
     println!(
-        "{:>3} {:>7} {:>10} {:>9} {:>10}",
-        "h", "shards", "wall_ms", "speedup", "identical"
+        "{:>3} {:>7} {:>10} {:>9} {:>10} {:>12}",
+        "h", "shards", "wall_ms", "speedup", "identical", "footprint_mb"
     );
     for &h in &scales {
         let spec = point_spec(&args, h);
@@ -83,11 +91,12 @@ fn main() {
             !baseline.deadlock_detected,
             "baseline deadlocked at h = {h}"
         );
+        let seq_mb = mb(spec.build_simulation().network().storage_footprint());
         println!(
-            "{h:>3} {:>7} {seq_ms:>10.1} {:>9} {:>10}",
+            "{h:>3} {:>7} {seq_ms:>10.1} {:>9} {:>10} {seq_mb:>12.2}",
             "seq", "1.00", "-"
         );
-        csv.row(&format!("{h},0,{seq_ms:.3},1.0,true"))
+        csv.row(&format!("{h},0,{seq_ms:.3},1.0,true,{seq_mb:.3}"))
             .expect("CSV write failed");
         json_entries.push((format!("shard_scaling/h{h}/seq"), seq_ms * 1e6));
 
@@ -118,9 +127,14 @@ fn main() {
             let ms = t0.elapsed().as_secs_f64() * 1e3;
             let identical = report == baseline;
             let speedup = seq_ms / ms;
-            println!("{h:>3} {shards:>7} {ms:>10.1} {speedup:>9.2} {identical:>10}");
-            csv.row(&format!("{h},{shards},{ms:.3},{speedup:.4},{identical}"))
-                .expect("CSV write failed");
+            let shard_mb = mb(spec.sharded_storage_footprint(shards));
+            println!(
+                "{h:>3} {shards:>7} {ms:>10.1} {speedup:>9.2} {identical:>10} {shard_mb:>12.2}"
+            );
+            csv.row(&format!(
+                "{h},{shards},{ms:.3},{speedup:.4},{identical},{shard_mb:.3}"
+            ))
+            .expect("CSV write failed");
             json_entries.push((format!("shard_scaling/h{h}/shards{shards}"), ms * 1e6));
             assert!(
                 identical,

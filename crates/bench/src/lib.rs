@@ -69,6 +69,12 @@ pub struct HarnessArgs {
     pub measure: u64,
     /// Drain cycles.
     pub drain: u64,
+    /// Whether `--warmup` was passed explicitly (presets must not clobber it).
+    pub warmup_explicit: bool,
+    /// Whether `--measure` was passed explicitly (it also sets the drain).
+    pub measure_explicit: bool,
+    /// Whether `--drain` was passed explicitly.
+    pub drain_explicit: bool,
     /// Base seed.
     pub seed: u64,
     /// Worker threads (`None` = all cores).
@@ -100,6 +106,9 @@ impl Default for HarnessArgs {
             warmup: 6_000,
             measure: 8_000,
             drain: 8_000,
+            warmup_explicit: false,
+            measure_explicit: false,
+            drain_explicit: false,
             seed: 1,
             threads: None,
             shards: 1,
@@ -137,18 +146,21 @@ impl HarnessArgs {
                 "--warmup" => {
                     out.warmup = value(&mut i)?
                         .parse()
-                        .map_err(|e| format!("--warmup: {e}"))?
+                        .map_err(|e| format!("--warmup: {e}"))?;
+                    out.warmup_explicit = true;
                 }
                 "--measure" => {
                     out.measure = value(&mut i)?
                         .parse()
                         .map_err(|e| format!("--measure: {e}"))?;
                     out.drain = out.measure;
+                    out.measure_explicit = true;
                 }
                 "--drain" => {
                     out.drain = value(&mut i)?
                         .parse()
-                        .map_err(|e| format!("--drain: {e}"))?
+                        .map_err(|e| format!("--drain: {e}"))?;
+                    out.drain_explicit = true;
                 }
                 "--seed" => {
                     out.seed = value(&mut i)?.parse().map_err(|e| format!("--seed: {e}"))?
@@ -236,16 +248,12 @@ impl HarnessArgs {
                 }
                 "--full" => {
                     out.h = 8;
-                    out.warmup = 20_000;
-                    out.measure = 30_000;
-                    out.drain = 30_000;
+                    out.preset_windows(20_000, 30_000);
                 }
                 "--quick" => {
                     out.quick = true;
                     out.h = 2;
-                    out.warmup = 1_000;
-                    out.measure = 2_000;
-                    out.drain = 2_000;
+                    out.preset_windows(1_000, 2_000);
                     if !out.loads_explicit {
                         out.loads = vec![0.1, 0.3, 0.5, 0.8];
                     }
@@ -256,6 +264,38 @@ impl HarnessArgs {
             i += 1;
         }
         Ok(out)
+    }
+
+    /// Apply a preset's warm-up and measurement windows (the drain follows
+    /// the measurement), keeping every window passed explicitly.
+    fn preset_windows(&mut self, warmup: u64, measure: u64) {
+        if !self.warmup_explicit {
+            self.warmup = warmup;
+        }
+        if !self.measure_explicit {
+            self.measure = measure;
+            if !self.drain_explicit {
+                self.drain = measure;
+            }
+        }
+    }
+
+    /// The `(warmup, measure, drain)` windows of a binary with its own
+    /// defaults: explicitly passed windows win (`--measure` also sets the
+    /// drain), every other window takes the binary's default, whatever a
+    /// preset set.
+    pub fn windows_or(&self, warmup: u64, measure: u64, drain: u64) -> (u64, u64, u64) {
+        let pick =
+            |explicit: bool, given: u64, default: u64| if explicit { given } else { default };
+        (
+            pick(self.warmup_explicit, self.warmup, warmup),
+            pick(self.measure_explicit, self.measure, measure),
+            pick(
+                self.drain_explicit || self.measure_explicit,
+                self.drain,
+                drain,
+            ),
+        )
     }
 
     /// Parse from the process arguments, exiting with a message on error.
@@ -559,6 +599,26 @@ mod tests {
             assert_eq!(args.loads, vec![0.3, 0.9]);
             assert!(args.loads_explicit);
         }
+    }
+
+    #[test]
+    fn explicit_windows_survive_presets_and_binary_defaults() {
+        // The shard_scaling CI smoke: --quick alone runs the binary's own
+        // 300/600/600 windows, not the preset's.
+        let quick = HarnessArgs::parse_from(["--quick"]).unwrap();
+        assert!(!quick.warmup_explicit && !quick.measure_explicit && !quick.drain_explicit);
+        assert_eq!(quick.windows_or(300, 600, 600), (300, 600, 600));
+        for argv in [["--quick", "--warmup", "50"], ["--warmup", "50", "--quick"]] {
+            let args = HarnessArgs::parse_from(argv).unwrap();
+            assert_eq!(args.warmup, 50, "{argv:?}");
+            assert_eq!(args.windows_or(300, 600, 600), (50, 600, 600), "{argv:?}");
+        }
+        let args = HarnessArgs::parse_from(["--measure", "900", "--full"]).unwrap();
+        assert_eq!((args.warmup, args.measure, args.drain), (20_000, 900, 900));
+        assert_eq!(args.windows_or(300, 600, 600), (300, 900, 900));
+        let args = HarnessArgs::parse_from(["--drain", "100", "--quick"]).unwrap();
+        assert_eq!((args.measure, args.drain), (2_000, 100));
+        assert_eq!(args.windows_or(300, 600, 600), (300, 600, 100));
     }
 
     #[test]

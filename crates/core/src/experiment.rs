@@ -3,7 +3,7 @@
 use dragonfly_probe::{ProbeConfig, ProbeRecorder, RunManifest, MANIFEST_SCHEMA_VERSION};
 use dragonfly_routing::{AdaptiveParams, RoutingKind, RoutingVisitor};
 use dragonfly_sched::Trace;
-use dragonfly_sim::{RoutingAlgorithm, SimConfig, Simulation};
+use dragonfly_sim::{RoutingAlgorithm, SimConfig, Simulation, StorageFootprint};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{
@@ -445,6 +445,17 @@ impl ExperimentSpec {
         )
     }
 
+    /// Preallocated hot-path storage of this spec's simulation on the
+    /// sharded engine, summed over its `shards` partitions (see
+    /// `Network::storage_footprint`).  Builds the simulation without running
+    /// it; one shard owns every group and matches the sequential engine.
+    pub fn sharded_storage_footprint(&self, shards: usize) -> StorageFootprint {
+        self.routing.dispatch(
+            AdaptiveParams::with_threshold(self.threshold),
+            ShardedFootprint { spec: self, shards },
+        )
+    }
+
     /// Run the burst-consumption protocol with probes installed (see
     /// [`ExperimentSpec::run_probed`]).
     pub fn run_batch_probed(
@@ -599,6 +610,20 @@ impl RoutingVisitor for ShardedSteadyRun<'_> {
         } else {
             sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
         }
+    }
+}
+
+/// Visitor building the sharded engine to read its storage footprint.
+struct ShardedFootprint<'a> {
+    spec: &'a ExperimentSpec,
+    shards: usize,
+}
+
+impl RoutingVisitor for ShardedFootprint<'_> {
+    type Output = StorageFootprint;
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> StorageFootprint {
+        build_sharded_with_routing(self.spec, routing, self.shards).storage_footprint()
     }
 }
 

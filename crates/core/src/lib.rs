@@ -51,6 +51,7 @@ pub use dragonfly_probe::{
 pub use dragonfly_routing::{AdaptiveParams, RoutingKind};
 pub use dragonfly_sched::{Completion, SyntheticTrace, Trace, TraceJob};
 pub use dragonfly_shard::{ShardPlan, ShardedSimulation};
+pub use dragonfly_sim::StorageFootprint;
 pub use dragonfly_stats::{
     BatchReport, JobLifecycleReport, JobReport, PhaseReport, SimReport, WorkloadReport,
 };

@@ -13,9 +13,28 @@
 //!
 //! # How a sharded cycle works
 //!
-//! Each shard owns a contiguous range of groups inside a full
-//! [`Network`] replica (buffers outside the owned range stay empty, so the
-//! replicas are cheap) and runs on its own scoped thread:
+//! Each shard owns a contiguous range of groups and runs on its own scoped
+//! thread.  Its [`Network`] is a partition built by
+//! [`Network::with_owned_groups`]: router and link indices stay global, but
+//! only the owned routers have ports and buffers, and each link's pipelines
+//! are sized by which shard's arrival phase drains them.  Links with both
+//! ends owned keep their full rings.  A transmit-side boundary link keeps a
+//! one-phit staging ring (at most one phit is launched per cycle and the
+//! export below drains it the same cycle) and the full credit ring, where
+//! the imported credits fly.  A receive-side boundary link keeps the full
+//! phit ring, where the imported phits fly, and a credit staging ring of its
+//! VC count (each input VC returns at most one credit per cycle).  Links
+//! with both ends remote take no storage, and the packet arena is
+//! preallocated for the owned nodes only.  A shard's footprint
+//! ([`Network::storage_footprint`]) is therefore its groups' share of the
+//! sequential one plus one phit and `global_vcs` credits per boundary link it
+//! transmits and receives on: at h = 6 with two shards the pools and arena
+//! sum to 44.79 MB against the sequential 44.70 MB, where two full replicas
+//! held twice that.  A ring overflow panics, so a staging bound that is too
+//! tight fails loudly (`tests/shard_partition.rs` drives the boundary links
+//! past saturation to reach it).
+//!
+//! A cycle runs in four steps:
 //!
 //! 1. **Compute** — run the sequential engine's five phases
 //!    ([`Network::advance_hooks`] + [`Network::step_phases`]) over the owned
@@ -67,7 +86,7 @@ use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_sim::{
     job_report, phase_report, sim_report, span_overlap, CreditInFlight, LinkEnd, Network, Packet,
     PacketId, PhaseIdentity, PhitInFlight, RoutingAlgorithm, SimConfig, SimRunIdentity,
-    StatsCollector,
+    StatsCollector, StorageFootprint,
 };
 use dragonfly_stats::{BatchReport, JobLifecycleReport, SimReport, WorkloadReport};
 use dragonfly_topology::DragonflyParams;
@@ -266,7 +285,7 @@ impl Driver<'_> {
     }
 }
 
-/// One partition of the simulation: a full network replica plus its boundary
+/// One partition of the simulation: a network partition plus its boundary
 /// wiring.
 struct Shard<R: RoutingAlgorithm> {
     id: usize,
@@ -487,7 +506,7 @@ pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
 }
 
 impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
-    /// Build a sharded simulation: `plan.shards` full network replicas, each
+    /// Build a sharded simulation: `plan.shards` network partitions, each
     /// owning a contiguous range of groups, wired up through their boundary
     /// global links.  `traffic` is called once per shard and must produce
     /// identical pattern instances (it always does for the deterministic
@@ -502,26 +521,19 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         let packet_size = config.packet_size;
         let group_ranges = plan.group_ranges(&params);
         let rpg = params.routers_per_group();
-        let npr = params.nodes_per_router();
         let ports = params.ports_per_router();
-        let router_ranges: Vec<Range<usize>> = group_ranges
-            .iter()
-            .map(|g| g.start * rpg..g.end * rpg)
-            .collect();
-        // Group index → owning shard, for the boundary wiring below.
+        // Router index → owning shard, for the boundary wiring below.
         let mut shard_of_router = vec![0usize; params.num_routers()];
-        for (s, rr) in router_ranges.iter().enumerate() {
-            for r in rr.clone() {
-                shard_of_router[r] = s;
-            }
+        for (s, groups) in group_ranges.iter().enumerate() {
+            shard_of_router[groups.start * rpg..groups.end * rpg].fill(s);
         }
 
-        let shards = router_ranges
-            .iter()
+        let shards = group_ranges
+            .into_iter()
             .enumerate()
-            .map(|(id, rr)| {
-                let mut net = Network::with_routing(config.clone(), routing.clone(), traffic());
-                net.set_owned_nodes(rr.start * npr..rr.end * npr);
+            .map(|(id, groups)| {
+                let net =
+                    Network::with_owned_groups(config.clone(), routing.clone(), traffic(), groups);
                 let mut tx_links = Vec::new();
                 let mut rx_links = Vec::new();
                 for li in 0..net.num_links() {
@@ -568,6 +580,12 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
     /// Read access to one shard's network replica (tests, diagnostics).
     pub fn network(&self, shard: usize) -> &Network<R> {
         &self.shards[shard].net
+    }
+
+    /// Preallocated hot-path storage summed over every shard (see
+    /// [`Network::storage_footprint`]).
+    pub fn storage_footprint(&self) -> StorageFootprint {
+        self.shards.iter().map(|s| s.net.storage_footprint()).sum()
     }
 
     /// Install `workload` into every shard replica (each compiles the same

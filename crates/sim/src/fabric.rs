@@ -23,7 +23,10 @@
 //! phits (one launch per cycle, drained every active cycle) and the credit
 //! pipeline at most `min(vcs × downstream buffer, vcs × (latency + 1))`
 //! credits — the tighter of the space the credits stand for and the drain
-//! rate.  Since links of equal class are built identically, consecutive links
+//! rate.  A partition of a sharded run builds its boundary links with smaller
+//! staging rings and its remote links with empty ones (see
+//! `Network::with_owned_groups`); a zero-capacity ring takes no pool storage.
+//! Since links of equal class are built identically, consecutive links
 //! have consecutive ring storage, and an index-ordered sweep of the active
 //! set (see [`crate::active_set::ActiveSet`]) walks both pools front to back.
 
@@ -37,7 +40,8 @@ pub struct LinkSpec {
     pub latency: u64,
     /// Where the link ends.
     pub to: LinkEnd,
-    /// Capacity of the forward phit pipeline (`latency + 1`).
+    /// Capacity of the forward phit pipeline (`latency + 1` on a link both
+    /// of whose ends are simulated).
     pub phit_cap: usize,
     /// Capacity of the backward credit pipeline.
     pub credit_cap: usize,
@@ -108,6 +112,12 @@ impl LinkFabric {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.to.is_empty()
+    }
+
+    /// Total elements of the phit and credit pools: the exact sums of every
+    /// link's ring capacities.
+    pub fn pool_lens(&self) -> (usize, usize) {
+        (self.phit_pool.len(), self.credit_pool.len())
     }
 
     /// Where link `li` ends.

@@ -53,7 +53,7 @@ pub use fabric::{LinkFabric, LinkSpec};
 pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
 #[cfg(feature = "profile")]
 pub use network::PhaseProfile;
-pub use network::{GlobalStatusBoard, Network, SourceQueue};
+pub use network::{GlobalStatusBoard, Network, SourceQueue, StorageFootprint};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
 pub use ring::{FixedRing, RingMeta};
 pub use router::{InputPort, InputVc, OutputPort, OutputVc, Router};

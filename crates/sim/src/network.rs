@@ -1,6 +1,7 @@
 //! The network: routers, the link fabric, sources and the per-cycle phases.
 
 use crate::active_set::ActiveSet;
+use crate::buffer::PacketSlot;
 use crate::config::SimConfig;
 use crate::fabric::{LinkFabric, LinkSpec};
 use crate::link::{CreditInFlight, LinkEnd, PhitInFlight};
@@ -67,6 +68,53 @@ impl GlobalStatusBoard {
     }
 }
 
+/// Exact element counts of the storage a network preallocates for its hot
+/// path: the fabric's two pipeline pools, the routers' VC slot pools and the
+/// packet arena.  These dominate a network's memory and are fixed at
+/// construction, so the footprint is a noise-free memory signal.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StorageFootprint {
+    /// Elements of the phit pool (Σ phit-ring capacities).
+    pub phit_slots: usize,
+    /// Elements of the credit pool (Σ credit-ring capacities).
+    pub credit_slots: usize,
+    /// Packet slots across every router's VC slot pool.
+    pub vc_slots: usize,
+    /// Packets preallocated in the arena.
+    pub arena_packets: usize,
+}
+
+impl StorageFootprint {
+    /// Bytes behind the element counts (each arena packet also carries its
+    /// free-list index).
+    pub fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.phit_slots * size_of::<PhitInFlight>()
+            + self.credit_slots * size_of::<CreditInFlight>()
+            + self.vc_slots * size_of::<PacketSlot>()
+            + self.arena_packets * (size_of::<Packet>() + size_of::<u32>())
+    }
+}
+
+impl std::ops::Add for StorageFootprint {
+    type Output = Self;
+
+    fn add(self, other: Self) -> Self {
+        Self {
+            phit_slots: self.phit_slots + other.phit_slots,
+            credit_slots: self.credit_slots + other.credit_slots,
+            vc_slots: self.vc_slots + other.vc_slots,
+            arena_packets: self.arena_packets + other.arena_packets,
+        }
+    }
+}
+
+impl std::iter::Sum for StorageFootprint {
+    fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
+        iter.fold(Self::default(), |a, b| a + b)
+    }
+}
+
 /// The simulated network and all of its per-cycle state.
 ///
 /// The engine is generic over the routing mechanism `R`, so the per-cycle `route()`
@@ -78,7 +126,8 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// Configuration of this run.
     pub config: SimConfig,
     params: DragonflyParams,
-    /// All routers, indexed by router id.
+    /// All routers, indexed by router id; those outside the owned groups are
+    /// port-less stubs ([`Router::stub`]).
     pub routers: Vec<Router>,
     /// Struct-of-arrays link state: every link's phit/credit pipeline lives in
     /// two shared pools, addressed by link index (see [`LinkFabric`]).
@@ -147,10 +196,11 @@ pub struct Network<R: RoutingAlgorithm = Box<dyn RoutingAlgorithm>> {
     /// Reused scratch for one link's arrived credits (see `arrivals_phits`).
     arrivals_credits: Vec<CreditInFlight>,
     // --- Sharding support -------------------------------------------------------
-    /// Nodes this network instance generates and injects for.  The full range in
-    /// a sequential run; a shard's owned range when this network is one partition
-    /// of a sharded run (see `dragonfly_shard`).
-    owned_nodes: Range<usize>,
+    /// Groups this network instance simulates, fixed at construction: every
+    /// group in a sequential run, a shard's contiguous range when this network
+    /// is one partition of a sharded run (see `dragonfly_shard`).  The owned
+    /// routers and nodes follow from it.
+    owned_groups: Range<usize>,
     /// When present, every job id fed to `ScheduleRuntime::note_delivered` is
     /// also appended here, so a sharded run can broadcast delivery feedback to
     /// the other shards' schedule replicas at the cycle barrier.
@@ -228,6 +278,38 @@ impl Network {
 impl<R: RoutingAlgorithm> Network<R> {
     /// Build an idle network with a statically known routing mechanism.
     pub fn with_routing(config: SimConfig, routing: R, traffic: Box<dyn TrafficPattern>) -> Self {
+        let groups = 0..config.params.groups();
+        Self::with_owned_groups(config, routing, traffic, groups)
+    }
+
+    /// Build one partition of a sharded run: a network that simulates only
+    /// the contiguous group range `owned` (see `dragonfly_shard`).
+    ///
+    /// Router and link indices stay global.  Routers outside the range are
+    /// port-less stubs ([`Router::stub`]), and every link's two pipelines are
+    /// sized by which partition's arrival phase drains them:
+    ///
+    /// * both ends owned (ejection links of owned routers included): the full
+    ///   `latency + 1` phit ring and the full credit ring;
+    /// * transmit-side boundary link (receiver remote): a one-phit staging
+    ///   ring, because at most one phit is launched per cycle and the shard
+    ///   barrier exports it the same cycle, plus the full credit ring, where
+    ///   the imported credits fly;
+    /// * receive-side boundary link (transmitter remote): the full phit ring,
+    ///   where the imported phits fly, plus a credit staging ring of the
+    ///   port's VC count, because each input VC forwards at most one phit and
+    ///   so returns at most one credit per cycle;
+    /// * both ends remote: no storage at all.
+    ///
+    /// Packet generation, injection and the arena preallocation cover the
+    /// owned groups' nodes only.  Owning every group builds exactly the
+    /// sequential network of [`Network::with_routing`].
+    pub fn with_owned_groups(
+        config: SimConfig,
+        routing: R,
+        traffic: Box<dyn TrafficPattern>,
+        owned: Range<usize>,
+    ) -> Self {
         config.validate();
         assert!(
             config.local_vcs >= routing.required_local_vcs(),
@@ -249,8 +331,15 @@ impl<R: RoutingAlgorithm> Network<R> {
             routing.name()
         );
         let params = config.params;
+        assert!(
+            owned.start < owned.end && owned.end <= params.groups(),
+            "owned group range {owned:?} is empty or exceeds the {} groups",
+            params.groups()
+        );
         let ports = params.ports_per_router();
         let num_routers = params.num_routers();
+        let rpg = params.routers_per_group();
+        let owns = |router: usize| owned.contains(&(router / rpg));
         let ejection_capacity = (config.packet_size * 4).max(config.injection_buffer);
 
         // Downstream capacities per output port are identical for every router.
@@ -267,7 +356,12 @@ impl<R: RoutingAlgorithm> Network<R> {
         let mut specs = Vec::with_capacity(num_routers * ports);
         for r in 0..num_routers {
             let rid = RouterId(r as u32);
-            routers.push(Router::new(rid, &config, &downstream));
+            let tx_owned = owns(r);
+            routers.push(if tx_owned {
+                Router::new(rid, &config, &downstream)
+            } else {
+                Router::stub(rid)
+            });
             for (flat, &down) in downstream.iter().enumerate() {
                 let port = Port::from_flat(flat, h);
                 let latency = config.latency_for_port(port);
@@ -283,14 +377,25 @@ impl<R: RoutingAlgorithm> Network<R> {
                         node: params.node_of_router(rid, t),
                     },
                 };
+                let rx_owned = match to {
+                    LinkEnd::Router { router, .. } => owns(router),
+                    LinkEnd::Node { .. } => tx_owned,
+                };
                 // Fixed pipeline capacities (see `LinkFabric`): at most one
                 // phit is launched per cycle and arrivals drain every cycle,
                 // bounding the forward ring by `latency + 1`; in-flight
                 // credits are bounded both by the downstream buffer space they
                 // stand for and by one credit per downstream VC per cycle.
-                let phit_cap = latency as usize + 1;
+                // Boundary and remote links shrink as documented above.
+                let full_phit = latency as usize + 1;
                 let vcs = config.vcs_for(port.kind());
-                let credit_cap = (vcs * down).min(vcs * phit_cap);
+                let full_credit = (vcs * down).min(vcs * full_phit);
+                let (phit_cap, credit_cap) = match (tx_owned, rx_owned) {
+                    (true, true) => (full_phit, full_credit),
+                    (true, false) => (1, full_credit),
+                    (false, true) => (full_phit, vcs),
+                    (false, false) => (0, 0),
+                };
                 specs.push(LinkSpec {
                     latency,
                     to,
@@ -324,7 +429,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         let rngs = (0..num_routers)
             .map(|r| Rng::seed_from(derive_seed(config.seed, r as u64)))
             .collect();
-        let arena_prealloc = config.arena_prealloc_for(params.num_nodes());
+        let arena_prealloc = arena_share(&config, &owned);
         // Worst case per router: one pending decision per input VC.
         let route_scratch_cap = ports * config.local_vcs.max(config.global_vcs);
         Self {
@@ -360,7 +465,7 @@ impl<R: RoutingAlgorithm> Network<R> {
             route_scratch: Vec::with_capacity(route_scratch_cap),
             arrivals_phits: Vec::with_capacity(max_phit_cap),
             arrivals_credits: Vec::with_capacity(max_credit_cap),
-            owned_nodes: 0..params.num_nodes(),
+            owned_groups: owned,
             sched_delivery_log: None,
             probe: None,
             #[cfg(feature = "profile")]
@@ -456,7 +561,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// Pre-load every owned node's source queue with `packets_per_node` packets
     /// (burst mode).
     pub fn preload_burst(&mut self, packets_per_node: u64) {
-        for n in self.owned_nodes.start..self.owned_nodes.end {
+        for n in self.owned_nodes() {
             let src = NodeId(n as u32);
             let router = self.params.router_of_node(src).index();
             for _ in 0..packets_per_node {
@@ -849,7 +954,7 @@ impl<R: RoutingAlgorithm> Network<R> {
     // ------------------------------------------------------------------
     fn phase_injection(&mut self, cycle: u64) -> bool {
         let mut activity = false;
-        for n in self.owned_nodes.start..self.owned_nodes.end {
+        for n in self.owned_nodes() {
             let node = NodeId(n as u32);
             // All random draws of a node use its router's stream, so the outcome
             // is independent of how the node space is partitioned across shards.
@@ -1249,23 +1354,42 @@ impl<R: RoutingAlgorithm> Network<R> {
     // Sharding support (see `dragonfly_shard`).
     // ------------------------------------------------------------------
     //
-    // A sharded run partitions the groups across several full `Network`
-    // replicas.  Each replica restricts injection to its owned node range and
-    // steps `advance_hooks` / `step_phases` / `apply_watchdog` / `finish_cycle`
-    // under an external per-cycle barrier; global links whose two ends live in
-    // different shards exchange their phits and credits (with their absolute
-    // delivery stamps) through the methods below.
+    // A sharded run partitions the groups across several `Network`
+    // partitions (built by `with_owned_groups`).  Each steps `advance_hooks` /
+    // `step_phases` / `apply_watchdog` / `finish_cycle` under an external
+    // per-cycle barrier; global links whose two ends live in different shards
+    // exchange their phits and credits (with their absolute delivery stamps)
+    // through the methods below.
 
-    /// Restrict packet generation, injection and burst preloading to `nodes`
-    /// (a shard's owned contiguous node range).  The default is every node.
-    pub fn set_owned_nodes(&mut self, nodes: Range<usize>) {
-        assert!(nodes.end <= self.params.num_nodes());
-        self.owned_nodes = nodes;
+    /// The group range this network instance simulates.
+    pub fn owned_groups(&self) -> Range<usize> {
+        self.owned_groups.clone()
     }
 
-    /// The node range this network instance generates packets for.
+    /// The routers of the owned groups.
+    pub fn owned_routers(&self) -> Range<usize> {
+        let rpg = self.params.routers_per_group();
+        self.owned_groups.start * rpg..self.owned_groups.end * rpg
+    }
+
+    /// The nodes this network instance generates and injects packets for:
+    /// those attached to the owned routers.
     pub fn owned_nodes(&self) -> Range<usize> {
-        self.owned_nodes.clone()
+        let npr = self.params.nodes_per_router();
+        let routers = self.owned_routers();
+        routers.start * npr..routers.end * npr
+    }
+
+    /// Exact element counts of the preallocated pipeline, VC-slot and arena
+    /// storage (see [`StorageFootprint`]).
+    pub fn storage_footprint(&self) -> StorageFootprint {
+        let (phit_slots, credit_slots) = self.fabric.pool_lens();
+        StorageFootprint {
+            phit_slots,
+            credit_slots,
+            vc_slots: self.routers.iter().map(|r| r.slot_pool.len()).sum(),
+            arena_packets: arena_share(&self.config, &self.owned_groups),
+        }
     }
 
     /// Number of links (every router's output ports, flat-indexed as
@@ -1290,6 +1414,15 @@ impl<R: RoutingAlgorithm> Network<R> {
     /// `len`-field read, like [`Network::link_phits_in_flight`]).
     pub fn link_credits_in_flight(&self, li: usize) -> usize {
         self.fabric.credits_in_flight(li)
+    }
+
+    /// Highest occupancy link `li`'s `(phit, credit)` pipelines have reached
+    /// (the saturation tier checks the boundary staging rings against it).
+    pub fn link_high_waters(&self, li: usize) -> (usize, usize) {
+        (
+            self.fabric.phit_high_water(li),
+            self.fabric.credit_high_water(li),
+        )
     }
 
     /// Drain every phit queued on link `li` into `out` (a transmit-side
@@ -1500,7 +1633,7 @@ impl<R: RoutingAlgorithm> Network<R> {
         let per_group_routers = self.params.routers_per_group();
         let h = self.params.h();
         let threshold = self.config.pb_congestion_threshold;
-        for g in 0..self.params.groups() {
+        for g in self.owned_groups() {
             for d in 0..channels {
                 let (ridx, gport) = self.params.global_channel_owner(d);
                 let router = g * per_group_routers + ridx;
@@ -1580,6 +1713,15 @@ fn apply_grant(
 #[inline]
 fn on_detour(route: &RouteState) -> bool {
     (route.global_misrouted && !route.reached_intermediate) || route.local_misrouted_in_group
+}
+
+/// Packets the arena of a network owning the `owned` groups preallocates:
+/// the owned groups' share of the whole machine's preallocation, rounded
+/// down, so the shares of a partition never add up to more than the
+/// sequential arena and owning every group reproduces it exactly.
+fn arena_share(config: &SimConfig, owned: &Range<usize>) -> usize {
+    let groups = config.params.groups();
+    config.arena_prealloc_for(config.params.num_nodes()) * owned.len() / groups
 }
 
 #[cfg(test)]

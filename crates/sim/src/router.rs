@@ -136,6 +136,19 @@ impl Router {
         }
     }
 
+    /// A port-less placeholder for a router another shard owns: no VC
+    /// vectors and an empty slot pool, so any stray access to its state
+    /// panics instead of silently reading empty buffers.
+    pub fn stub(id: RouterId) -> Self {
+        Self {
+            id,
+            inputs: Vec::new(),
+            outputs: Vec::new(),
+            slot_pool: Vec::new(),
+            rr_alloc: 0,
+        }
+    }
+
     /// Total phits stored across all input buffers (diagnostics / conservation tests).
     pub fn stored_phits(&self) -> usize {
         self.inputs
