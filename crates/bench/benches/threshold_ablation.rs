@@ -7,7 +7,7 @@
 //! to drain, which shows up directly in the measured time.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dragonfly_core::{ExperimentSpec, RoutingKind, TrafficKind};
+use dragonfly_core::{ExperimentSpec, RoutingKind, RunOptions, TrafficKind};
 use std::time::Duration;
 
 fn bench_threshold_ablation(c: &mut Criterion) {
@@ -30,7 +30,8 @@ fn bench_threshold_ablation(c: &mut Criterion) {
                         local_offset: 1,
                     };
                     spec.seed = 11;
-                    spec.run_batch(3, 500_000)
+                    spec.execute_batch(3, 500_000, &RunOptions::default())
+                        .report
                 });
             });
         }

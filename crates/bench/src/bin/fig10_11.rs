@@ -31,28 +31,17 @@ fn run_figure(args: &HarnessArgs, traffic: TrafficKind, figure: &str, csv_name: 
         specs.len(),
         args.h
     );
-    let runner = args.runner(format!("figure {figure}"));
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_steady_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!(
-                    "fig{figure}_th{}_{}",
-                    file_slug(&format!("{:.2}", spec.threshold)),
-                    file_slug(&format!("{:.2}", spec.offered_load)),
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_steady(&specs),
-    };
+    let reports: Vec<_> = args
+        .run_points(format!("figure {figure}"), &specs, |spec| {
+            format!(
+                "fig{figure}_th{}_{}",
+                file_slug(&format!("{:.2}", spec.threshold)),
+                file_slug(&format!("{:.2}", spec.offered_load)),
+            )
+        })
+        .into_iter()
+        .map(|report| report.aggregate)
+        .collect();
 
     println!(
         "\n== Figure {figure}: RLM threshold sweep ({}) ==",

@@ -50,28 +50,16 @@ fn run_pattern(args: &HarnessArgs, pattern: &str) -> Vec<SimReport> {
         specs.len(),
         args.h
     );
-    let runner = args.runner(format!("figure 7/8 [{pattern}]"));
-    match &args.probe {
-        Some(probes) => runner
-            .run_steady_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!(
-                    "fig7_8_{pattern}_{}_{}",
-                    file_slug(spec.routing.name()),
-                    file_slug(&format!("{:.2}", spec.offered_load)),
-                );
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_steady(&specs),
-    }
+    args.run_points(format!("figure 7/8 [{pattern}]"), &specs, |spec| {
+        format!(
+            "fig7_8_{pattern}_{}_{}",
+            file_slug(spec.routing.name()),
+            file_slug(&format!("{:.2}", spec.offered_load)),
+        )
+    })
+    .into_iter()
+    .map(|report| report.aggregate)
+    .collect()
 }
 
 fn main() {

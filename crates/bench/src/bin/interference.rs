@@ -52,26 +52,9 @@ fn main() {
             spec
         })
         .collect();
-    let runner = args.runner("interference");
-    let reports = match &args.probe {
-        Some(probes) => {
-            let pairs = runner.run_workloads_probed(&specs, probes);
-            pairs
-                .into_iter()
-                .zip(&specs)
-                .map(|((report, probe), spec)| {
-                    let prefix = format!("interference_{}", file_slug(spec.routing.name()));
-                    args.write_probe(
-                        &probe,
-                        &prefix,
-                        &spec.manifest_with_report(&prefix, &report.aggregate),
-                    );
-                    report
-                })
-                .collect()
-        }
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("interference", &specs, |spec| {
+        format!("interference_{}", file_slug(spec.routing.name()))
+    });
 
     println!(
         "{:<12} {:>12} {:>14} {:>14} {:>12} {:>12}",

@@ -32,7 +32,8 @@
 
 use dragonfly_bench::HarnessArgs;
 use dragonfly_core::{
-    CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, StorageFootprint, TrafficKind,
+    CsvWriter, ExperimentSpec, FlowControlKind, RoutingKind, RunOptions, StorageFootprint,
+    TrafficKind,
 };
 use std::io::Write;
 use std::time::Instant;
@@ -104,7 +105,8 @@ fn main() {
         // carries the probes, so the scaling numbers stay untouched while the
         // probe output (and its report-identity guarantee) is still exercised.
         if let Some(probes) = &args.probe {
-            let (report, probe) = spec.run_probed(probes.clone());
+            let outcome = spec.execute(&RunOptions::default().with_probes(probes.clone()));
+            let (report, probe) = (outcome.report.aggregate, outcome.probe.unwrap());
             assert!(
                 report == baseline,
                 "probed report diverged from the unprobed baseline at h = {h} — probes \

@@ -43,24 +43,9 @@ fn main() {
             spec
         })
         .collect();
-    let runner = args.runner("transient");
-    let reports = match &args.probe {
-        Some(probes) => runner
-            .run_workloads_probed(&specs, probes)
-            .into_iter()
-            .zip(&specs)
-            .map(|((report, probe), spec)| {
-                let prefix = format!("transient_{}", file_slug(spec.routing.name()));
-                args.write_probe(
-                    &probe,
-                    &prefix,
-                    &spec.manifest_with_report(&prefix, &report.aggregate),
-                );
-                report
-            })
-            .collect(),
-        None => runner.run_workloads(&specs),
-    };
+    let reports = args.run_points("transient", &specs, |spec| {
+        format!("transient_{}", file_slug(spec.routing.name()))
+    });
 
     println!(
         "{:<12} {:>6} {:>10} {:>12} {:>12} {:>12} {:>10}",

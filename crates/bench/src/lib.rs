@@ -53,8 +53,8 @@
 //! a plain in-order loop that produces byte-identical CSVs.
 
 use dragonfly_core::{
-    DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, RunManifest, SimReport,
-    SweepRunner, WorkloadReport,
+    BatchReport, DetectorConfig, ExperimentSpec, FlowControlKind, ProbeConfig, RunManifest,
+    SimReport, SweepRunner, WorkloadReport,
 };
 use std::path::{Path, PathBuf};
 
@@ -329,12 +329,64 @@ impl HarnessArgs {
     /// The sweep runner implied by these arguments: `--jobs` workers (all cores by
     /// default) or the `--sequential` in-order loop, with progress/ETA on stderr.
     /// `--shards N` shards every point across N threads (byte-identical reports)
-    /// under the runner's workers × shards ≤ cores budget.
+    /// under the runner's workers × shards ≤ cores budget; `--probe*` installs
+    /// the probes on every point.
     pub fn runner(&self, label: impl Into<String>) -> SweepRunner {
         SweepRunner::new(label)
             .jobs(self.threads)
             .shards(self.shards)
             .sequential(self.sequential)
+            .probes(self.probe.clone())
+    }
+
+    /// Run `specs` through [`HarnessArgs::runner`] and return their reports.
+    /// With `--probe*`, each point's probe output set is written under
+    /// `prefix(spec)`, its manifest carrying the point's peak telemetry.
+    pub fn run_points(
+        &self,
+        label: impl Into<String>,
+        specs: &[ExperimentSpec],
+        prefix: impl Fn(&ExperimentSpec) -> String,
+    ) -> Vec<WorkloadReport> {
+        let outcomes = self.runner(label).run(specs);
+        outcomes
+            .into_iter()
+            .zip(specs)
+            .map(|(outcome, spec)| {
+                if let Some(probe) = &outcome.probe {
+                    let prefix = prefix(spec);
+                    let manifest = spec.manifest_with_report(&prefix, &outcome.report.aggregate);
+                    self.write_probe(probe, &prefix, &manifest);
+                }
+                outcome.report
+            })
+            .collect()
+    }
+
+    /// [`HarnessArgs::run_points`] for burst-consumption points.  Batch
+    /// reports carry no peak telemetry, so the manifest peaks stay 0.
+    pub fn run_batch_points(
+        &self,
+        label: impl Into<String>,
+        specs: &[ExperimentSpec],
+        packets_per_node: u64,
+        max_cycles: u64,
+        prefix: impl Fn(&ExperimentSpec) -> String,
+    ) -> Vec<BatchReport> {
+        let outcomes = self
+            .runner(label)
+            .run_batches(specs, packets_per_node, max_cycles);
+        outcomes
+            .into_iter()
+            .zip(specs)
+            .map(|(outcome, spec)| {
+                if let Some(probe) = &outcome.probe {
+                    let prefix = prefix(spec);
+                    self.write_probe(probe, &prefix, &spec.manifest(&prefix));
+                }
+                outcome.report
+            })
+            .collect()
     }
 
     /// Exit with usage status when `--json` was passed: binaries with no

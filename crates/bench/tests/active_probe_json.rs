@@ -4,7 +4,9 @@
 
 #![cfg(feature = "json")]
 
-use dragonfly_core::{ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, TrafficKind};
+use dragonfly_core::{
+    ExperimentSpec, ProbeConfig, RoutingKind, RunManifest, RunOptions, TrafficKind,
+};
 use dragonfly_stats::validate_json;
 
 /// Minimal routing under saturating ADVG+1 with a 100 % collapse threshold:
@@ -28,7 +30,11 @@ fn forced_trip_run() -> (ExperimentSpec, ProbeConfig) {
 #[test]
 fn trace_and_manifest_survive_a_real_json_parser() {
     let (spec, probes) = forced_trip_run();
-    let (report, probe) = spec.run_probed(probes);
+    let outcome = spec.execute(&RunOptions::default().with_probes(probes));
+    let (report, probe) = (
+        outcome.report.aggregate,
+        outcome.probe.expect("probes installed"),
+    );
     assert!(
         !probe.trips().is_empty(),
         "the forced-anomaly run must trip, or the validation below is vacuous"

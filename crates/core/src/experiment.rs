@@ -3,7 +3,10 @@
 use dragonfly_probe::{ProbeConfig, ProbeRecorder, RunManifest, MANIFEST_SCHEMA_VERSION};
 use dragonfly_routing::{AdaptiveParams, RoutingKind, RoutingVisitor};
 use dragonfly_sched::Trace;
-use dragonfly_sim::{RoutingAlgorithm, SimConfig, Simulation, StorageFootprint};
+use dragonfly_sim::{
+    BatchRun, Protocol, RoutingAlgorithm, SimConfig, Simulation, SteadyStateRun, StorageFootprint,
+    TraceRun,
+};
 use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
 use dragonfly_topology::DragonflyParams;
 use dragonfly_traffic::{
@@ -236,36 +239,66 @@ impl ExperimentSpec {
         build_with_routing(self, routing)
     }
 
-    /// Run the steady-state protocol and return the report.
+    /// Run this spec with the given options: the protocol its traffic
+    /// implies — the trace protocol for [`TrafficKind::Churn`] (with `measure`
+    /// as the horizon), the workload protocol for [`TrafficKind::Workload`],
+    /// the steady-state protocol otherwise, with an empty `jobs` list — on the
+    /// chosen engine, monomorphized over the concrete routing mechanism.
     ///
-    /// Dispatches to a simulation monomorphized over the concrete routing mechanism;
-    /// the result is bit-identical to the dynamic path ([`ExperimentSpec::run_dyn`]).
-    /// For workload traffic this is the aggregate half of
-    /// [`ExperimentSpec::run_workload`].
-    pub fn run(&self) -> SimReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            SteadyStateRun(self),
-        )
-    }
-
-    /// Run the steady-state protocol through the type-erased engine.  Same seed ⇒
-    /// same report as [`ExperimentSpec::run`]; exists for comparison benchmarks and
-    /// the equivalence tests.
-    pub fn run_dyn(&self) -> SimReport {
-        let mut sim = self.build_simulation();
-        if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, self).aggregate
+    /// The engine and the probes never change the report: the sharded engine
+    /// is byte-identical to the sequential one (`tests/shard_equivalence.rs`)
+    /// and probes are read-only (`tests/probe_invariance.rs`).  With probes
+    /// the outcome carries the recorder — on the sharded engine the
+    /// order-independently merged one.
+    pub fn execute(&self, options: &RunOptions) -> RunOutcome<WorkloadReport> {
+        let (warmup, measure, drain) = (self.warmup, self.measure, self.drain);
+        if self.traffic.churn().is_some() {
+            self.dispatch(options, TraceRun::new(measure, drain))
         } else {
-            sim.run_steady_state(self.offered_load, self.warmup, self.measure, self.drain)
+            // A workload reports its own nominal load.
+            let load = self
+                .traffic
+                .workload()
+                .is_none()
+                .then_some(self.offered_load);
+            self.dispatch(options, SteadyStateRun::new(load, warmup, measure, drain))
         }
     }
 
-    /// Run a workload or churn experiment and return the per-job (and, for static
-    /// workloads, per-phase) breakdown alongside the aggregate report.  Statically
-    /// dispatched like [`ExperimentSpec::run`].  Churn specs run the trace
-    /// protocol: jobs arrive, wait, run and depart; their reports carry lifecycle
-    /// columns (wait, completion, slowdown).
+    /// Run the burst-consumption protocol: `packets_per_node` packets per
+    /// node, with a safety limit of `max_cycles` (see [`ExperimentSpec::execute`]
+    /// for the options).
+    pub fn execute_batch(
+        &self,
+        packets_per_node: u64,
+        max_cycles: u64,
+        options: &RunOptions,
+    ) -> RunOutcome<BatchReport> {
+        let burst = BurstSpec::new(packets_per_node, self.flow_control.packet_size());
+        self.dispatch(options, BatchRun::new(burst, max_cycles))
+    }
+
+    fn dispatch<P: Protocol>(&self, options: &RunOptions, protocol: P) -> RunOutcome<P::Report> {
+        self.routing.dispatch(
+            AdaptiveParams::with_threshold(self.threshold),
+            Execute {
+                spec: self,
+                options,
+                protocol,
+            },
+        )
+    }
+
+    /// The steady-state report of [`ExperimentSpec::execute`] on the
+    /// sequential engine; for workload and churn traffic, the aggregate half
+    /// of [`ExperimentSpec::run_workload`].
+    pub fn run(&self) -> SimReport {
+        self.execute(&RunOptions::default()).report.aggregate
+    }
+
+    /// [`ExperimentSpec::execute`] on the sequential engine for a workload or
+    /// churn spec: the per-job (and, for static workloads, per-phase)
+    /// breakdown alongside the aggregate report.
     ///
     /// # Panics
     ///
@@ -276,173 +309,14 @@ impl ExperimentSpec {
             self.traffic.has_jobs(),
             "run_workload requires TrafficKind::Workload or TrafficKind::Churn traffic"
         );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            WorkloadRun(self),
-        )
+        self.execute(&RunOptions::default()).report
     }
 
-    /// Run a workload or churn experiment through the type-erased engine (see
-    /// [`ExperimentSpec::run_dyn`]).  Same seed ⇒ same report as
-    /// [`ExperimentSpec::run_workload`].
-    pub fn run_workload_dyn(&self) -> WorkloadReport {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_dyn requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        let mut sim = self.build_simulation();
-        run_jobs_with(&mut sim, self)
-    }
-
-    /// Run the steady-state protocol on the sharded engine: the single
-    /// simulation is partitioned into `shards` per-group partitions stepping
-    /// concurrently under a cycle barrier (see `dragonfly_shard`).  The report
-    /// is byte-identical to [`ExperimentSpec::run`] — sharding only changes
-    /// wall-clock time.  `shards = 1` still uses the partitioned engine with a
-    /// single worker; workload and churn specs return the aggregate half of
-    /// [`ExperimentSpec::run_workload_sharded`].
+    /// [`ExperimentSpec::run`] on the sharded engine with `shards` per-group
+    /// partitions (see `dragonfly_shard`); byte-identical, only wall-clock
+    /// time changes.
     pub fn run_sharded(&self, shards: usize) -> SimReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ShardedSteadyRun { spec: self, shards },
-        )
-    }
-
-    /// Run a workload or churn experiment on the sharded engine; byte-identical
-    /// to [`ExperimentSpec::run_workload`].
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_sharded(&self, shards: usize) -> WorkloadReport {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_sharded requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ShardedWorkloadRun { spec: self, shards },
-        )
-    }
-
-    /// Run the steady-state protocol with observability probes installed and
-    /// return the recorder alongside the report.
-    ///
-    /// Probes are read-only: the report is byte-identical to
-    /// [`ExperimentSpec::run`] (pinned by `tests/probe_invariance.rs`).  For
-    /// workload or churn traffic the report is the aggregate half of
-    /// [`ExperimentSpec::run_workload_probed`].
-    pub fn run_probed(&self, probes: ProbeConfig) -> (SimReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedSteadyRun { spec: self, probes },
-        )
-    }
-
-    /// Run the steady-state protocol on the sharded engine with probes
-    /// installed in every shard replica, returning the order-independently
-    /// merged recorder.  Both the report and the recorder's pinned outputs are
-    /// byte-identical to [`ExperimentSpec::run_probed`] (the diagnostics
-    /// series is the documented exception — see `dragonfly_probe`).
-    pub fn run_probed_sharded(
-        &self,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (SimReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedSteadyRun {
-                spec: self,
-                probes,
-                shards,
-            },
-        )
-    }
-
-    /// Run a workload or churn experiment with probes installed (see
-    /// [`ExperimentSpec::run_probed`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_probed(&self, probes: ProbeConfig) -> (WorkloadReport, ProbeRecorder) {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_probed requires TrafficKind::Workload or TrafficKind::Churn traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedWorkloadRun { spec: self, probes },
-        )
-    }
-
-    /// Run a workload or churn experiment on the sharded engine with probes
-    /// installed (see [`ExperimentSpec::run_probed_sharded`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the traffic kind is neither [`TrafficKind::Workload`] nor
-    /// [`TrafficKind::Churn`].
-    pub fn run_workload_probed_sharded(
-        &self,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (WorkloadReport, ProbeRecorder) {
-        assert!(
-            self.traffic.has_jobs(),
-            "run_workload_probed_sharded requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic"
-        );
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedWorkloadRun {
-                spec: self,
-                probes,
-                shards,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol: `packets_per_node` packets per node, with a
-    /// safety limit of `max_cycles`.  Statically dispatched like [`ExperimentSpec::run`].
-    pub fn run_batch(&self, packets_per_node: u64, max_cycles: u64) -> BatchReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            BatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol through the type-erased engine (see
-    /// [`ExperimentSpec::run_dyn`]).
-    pub fn run_batch_dyn(&self, packets_per_node: u64, max_cycles: u64) -> BatchReport {
-        let mut sim = self.build_simulation();
-        let burst = BurstSpec::new(packets_per_node, self.flow_control.packet_size());
-        sim.run_batch(burst, max_cycles)
-    }
-
-    /// Run the burst-consumption protocol on the sharded engine; byte-identical
-    /// to [`ExperimentSpec::run_batch`].
-    pub fn run_batch_sharded(
-        &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        shards: usize,
-    ) -> BatchReport {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ShardedBatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-                shards,
-            },
-        )
+        self.execute(&RunOptions::sharded(shards)).report.aggregate
     }
 
     /// Preallocated hot-path storage of this spec's simulation on the
@@ -453,46 +327,6 @@ impl ExperimentSpec {
         self.routing.dispatch(
             AdaptiveParams::with_threshold(self.threshold),
             ShardedFootprint { spec: self, shards },
-        )
-    }
-
-    /// Run the burst-consumption protocol with probes installed (see
-    /// [`ExperimentSpec::run_probed`]).
-    pub fn run_batch_probed(
-        &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: ProbeConfig,
-    ) -> (BatchReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedBatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-                probes,
-            },
-        )
-    }
-
-    /// Run the burst-consumption protocol on the sharded engine with probes
-    /// installed (see [`ExperimentSpec::run_probed_sharded`]).
-    pub fn run_batch_probed_sharded(
-        &self,
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: ProbeConfig,
-        shards: usize,
-    ) -> (BatchReport, ProbeRecorder) {
-        self.routing.dispatch(
-            AdaptiveParams::with_threshold(self.threshold),
-            ProbedShardedBatchRun {
-                spec: self,
-                packets_per_node,
-                max_cycles,
-                probes,
-                shards,
-            },
         )
     }
 
@@ -555,19 +389,6 @@ fn build_with_routing<R: RoutingAlgorithm + 'static>(
     }
 }
 
-/// Run the per-job protocol an installed spec implies: the trace protocol for
-/// churn specs, the steady-state workload protocol otherwise.
-fn run_jobs_with<R: RoutingAlgorithm>(
-    sim: &mut Simulation<R>,
-    spec: &ExperimentSpec,
-) -> WorkloadReport {
-    if sim.network().schedule().is_some() {
-        sim.run_trace(spec.measure, spec.drain)
-    } else {
-        sim.run_steady_state_workload(spec.warmup, spec.measure, spec.drain)
-    }
-}
-
 /// Build the sharded simulation for a spec, installing any workload or churn
 /// schedule into every shard replica (the sharded sibling of
 /// [`build_with_routing`]).
@@ -593,26 +414,6 @@ fn build_sharded_with_routing<R: RoutingAlgorithm + Clone>(
     }
 }
 
-/// Visitor running the steady-state protocol on the sharded engine.
-struct ShardedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    shards: usize,
-}
-
-impl RoutingVisitor for ShardedSteadyRun<'_> {
-    type Output = SimReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> SimReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        if spec.traffic.has_jobs() {
-            run_sharded_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
-        }
-    }
-}
-
 /// Visitor building the sharded engine to read its storage footprint.
 struct ShardedFootprint<'a> {
     spec: &'a ExperimentSpec,
@@ -627,233 +428,98 @@ impl RoutingVisitor for ShardedFootprint<'_> {
     }
 }
 
-/// Visitor running a workload or churn run on the sharded engine.
-struct ShardedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    shards: usize,
+/// Which engine runs an experiment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Engine {
+    /// The sequential engine, monomorphized over the routing mechanism.
+    #[default]
+    Sequential,
+    /// The sharded engine with the given number of per-group partitions
+    /// (`1` still uses the partitioned engine, with a single worker).
+    Sharded(usize),
 }
 
-impl RoutingVisitor for ShardedWorkloadRun<'_> {
-    type Output = WorkloadReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> WorkloadReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        run_sharded_jobs_with(&mut sim, spec)
-    }
+/// How to run an experiment: the engine and the optional probes.
+#[derive(Debug, Clone, Default)]
+pub struct RunOptions {
+    /// The engine to run on.
+    pub engine: Engine,
+    /// Observability probes to install, if any.
+    pub probes: Option<ProbeConfig>,
 }
 
-/// Run the per-job protocol a sharded spec implies (the sharded sibling of
-/// [`run_jobs_with`]).
-fn run_sharded_jobs_with<R: RoutingAlgorithm + Clone>(
-    sim: &mut dragonfly_shard::ShardedSimulation<R>,
-    spec: &ExperimentSpec,
-) -> WorkloadReport {
-    if spec.traffic.churn().is_some() {
-        sim.run_trace(spec.measure, spec.drain)
-    } else {
-        sim.run_steady_state_workload(spec.warmup, spec.measure, spec.drain)
-    }
-}
-
-/// Visitor running the burst-consumption protocol on the sharded engine.
-struct ShardedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    shards: usize,
-}
-
-impl RoutingVisitor for ShardedBatchRun<'_> {
-    type Output = BatchReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> BatchReport {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        sim.run_batch(burst, self.max_cycles)
-    }
-}
-
-/// Visitor running the steady-state protocol with probes installed.
-struct ProbedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedSteadyRun<'_> {
-    type Output = (SimReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let report = if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
-        };
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the steady-state protocol on the sharded engine with probes
-/// installed in every replica.
-struct ProbedShardedSteadyRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedSteadyRun<'_> {
-    type Output = (SimReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let report = if spec.traffic.has_jobs() {
-            run_sharded_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
-        };
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running a workload or churn experiment with probes installed.
-struct ProbedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedWorkloadRun<'_> {
-    type Output = (WorkloadReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let report = run_jobs_with(&mut sim, spec);
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running a workload or churn experiment on the sharded engine with
-/// probes installed in every replica.
-struct ProbedShardedWorkloadRun<'a> {
-    spec: &'a ExperimentSpec,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedWorkloadRun<'_> {
-    type Output = (WorkloadReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let report = run_sharded_jobs_with(&mut sim, spec);
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the burst-consumption protocol with probes installed.
-struct ProbedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    probes: ProbeConfig,
-}
-
-impl RoutingVisitor for ProbedBatchRun<'_> {
-    type Output = (BatchReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        sim.install_probes(self.probes);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        let report = sim.run_batch(burst, self.max_cycles);
-        let probe = *sim.take_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the burst-consumption protocol on the sharded engine with
-/// probes installed in every replica.
-struct ProbedShardedBatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
-    probes: ProbeConfig,
-    shards: usize,
-}
-
-impl RoutingVisitor for ProbedShardedBatchRun<'_> {
-    type Output = (BatchReport, ProbeRecorder);
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
-        let spec = self.spec;
-        let mut sim = build_sharded_with_routing(spec, routing, self.shards);
-        sim.install_probes(self.probes);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        let report = sim.run_batch(burst, self.max_cycles);
-        let probe = sim.merged_probe().expect("probes were installed above");
-        (report, probe)
-    }
-}
-
-/// Visitor running the steady-state protocol on a monomorphized simulation.
-struct SteadyStateRun<'a>(&'a ExperimentSpec);
-
-impl RoutingVisitor for SteadyStateRun<'_> {
-    type Output = SimReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> SimReport {
-        let spec = self.0;
-        let mut sim = build_with_routing(spec, routing);
-        if sim.network().workload().is_some() || sim.network().schedule().is_some() {
-            run_jobs_with(&mut sim, spec).aggregate
-        } else {
-            sim.run_steady_state(spec.offered_load, spec.warmup, spec.measure, spec.drain)
+impl RunOptions {
+    /// The sharded engine with `shards` partitions, no probes.
+    pub fn sharded(shards: usize) -> Self {
+        Self {
+            engine: Engine::Sharded(shards),
+            probes: None,
         }
     }
-}
 
-/// Visitor running a workload or churn run on a monomorphized simulation.
-struct WorkloadRun<'a>(&'a ExperimentSpec);
-
-impl RoutingVisitor for WorkloadRun<'_> {
-    type Output = WorkloadReport;
-
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> WorkloadReport {
-        let spec = self.0;
-        let mut sim = build_with_routing(spec, routing);
-        run_jobs_with(&mut sim, spec)
+    /// These options with `probes` installed.
+    pub fn with_probes(mut self, probes: ProbeConfig) -> Self {
+        self.probes = Some(probes);
+        self
     }
 }
 
-/// Visitor running the burst-consumption protocol on a monomorphized simulation.
-struct BatchRun<'a> {
-    spec: &'a ExperimentSpec,
-    packets_per_node: u64,
-    max_cycles: u64,
+/// The result of one run: the report, plus the probe recorder when the run
+/// had probes installed.
+#[derive(Debug, Clone)]
+pub struct RunOutcome<T> {
+    /// The run's report.
+    pub report: T,
+    /// The probe recorder (merged across shards on the sharded engine).
+    pub probe: Option<ProbeRecorder>,
 }
 
-impl RoutingVisitor for BatchRun<'_> {
-    type Output = BatchReport;
+impl<T> RunOutcome<T> {
+    /// The reports of a sweep's outcomes, in order, without the recorders.
+    pub fn reports(outcomes: Vec<Self>) -> Vec<T> {
+        outcomes.into_iter().map(|outcome| outcome.report).collect()
+    }
+}
 
-    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> BatchReport {
-        let spec = self.spec;
-        let mut sim = build_with_routing(spec, routing);
-        let burst = BurstSpec::new(self.packets_per_node, spec.flow_control.packet_size());
-        sim.run_batch(burst, self.max_cycles)
+/// The one run visitor: builds the spec's simulation on the chosen engine,
+/// installs the probes and runs the protocol.
+struct Execute<'a, P> {
+    spec: &'a ExperimentSpec,
+    options: &'a RunOptions,
+    protocol: P,
+}
+
+impl<P: Protocol> RoutingVisitor for Execute<'_, P> {
+    type Output = RunOutcome<P::Report>;
+
+    fn visit<R: RoutingAlgorithm + Clone + 'static>(self, routing: R) -> Self::Output {
+        let Self {
+            spec,
+            options,
+            protocol,
+        } = self;
+        match options.engine {
+            Engine::Sequential => {
+                let mut sim = build_with_routing(spec, routing);
+                if let Some(probes) = &options.probes {
+                    sim.install_probes(probes.clone());
+                }
+                let report = sim.run_protocol(protocol);
+                let probe = sim.take_probe().map(|probe| *probe);
+                RunOutcome { report, probe }
+            }
+            Engine::Sharded(shards) => {
+                let mut sim = build_sharded_with_routing(spec, routing, shards);
+                if let Some(probes) = &options.probes {
+                    sim.install_probes(probes.clone());
+                }
+                let report = sim.run_protocol(protocol);
+                RunOutcome {
+                    report,
+                    probe: sim.merged_probe(),
+                }
+            }
+        }
     }
 }
 
@@ -933,25 +599,6 @@ impl ExperimentBuilder {
     /// Run the steady-state experiment.
     pub fn run(self) -> SimReport {
         self.spec.run()
-    }
-
-    /// Select a workload as the traffic (shorthand for
-    /// `.traffic(TrafficKind::Workload(spec))`).
-    pub fn workload(mut self, workload: WorkloadSpec) -> Self {
-        self.spec.traffic = TrafficKind::Workload(workload);
-        self
-    }
-
-    /// Select a churn trace as the traffic (shorthand for
-    /// `.traffic(TrafficKind::Churn(trace))`).
-    pub fn churn(mut self, trace: Trace) -> Self {
-        self.spec.traffic = TrafficKind::Churn(trace);
-        self
-    }
-
-    /// Run the workload experiment with the per-job/per-phase breakdown.
-    pub fn run_workload(self) -> WorkloadReport {
-        self.spec.run_workload()
     }
 }
 
@@ -1105,9 +752,9 @@ mod tests {
         assert_eq!(b.arrival_cycle, 700);
         assert_eq!(b.placed_cycle, Some(700));
         // Static and dyn paths agree, and run() returns the same aggregate.
-        assert_eq!(spec.run_workload_dyn(), report);
+        let mut sim = spec.build_simulation();
+        assert_eq!(sim.run_trace(spec.measure, spec.drain), report);
         assert_eq!(spec.run(), report.aggregate);
-        assert_eq!(spec.run_dyn(), report.aggregate);
     }
 
     #[test]
@@ -1131,12 +778,17 @@ mod tests {
         spec.seed = 23;
 
         let plain = spec.run();
-        let (probed_report, probe) = spec.run_probed(ProbeConfig::full(32));
-        assert_eq!(probed_report, plain, "probes must not perturb the run");
+        let probed = spec.execute(&RunOptions::default().with_probes(ProbeConfig::full(32)));
+        let probe = probed.probe.unwrap();
+        assert_eq!(
+            probed.report.aggregate, plain,
+            "probes must not perturb the run"
+        );
         assert!(probe.samples() > 0);
 
-        let (sharded_report, sharded_probe) = spec.run_probed_sharded(ProbeConfig::full(32), 3);
-        assert_eq!(sharded_report, plain);
+        let sharded = spec.execute(&RunOptions::sharded(3).with_probes(ProbeConfig::full(32)));
+        let sharded_probe = sharded.probe.unwrap();
+        assert_eq!(sharded.report.aggregate, plain);
         assert_eq!(sharded_probe.samples(), probe.samples());
         assert_eq!(
             sharded_probe.series().injected.samples(),
@@ -1155,11 +807,13 @@ mod tests {
         spec.measure = 600;
         spec.drain = 900;
         let plain = spec.run_workload();
-        let (report, probe) = spec.run_workload_probed(ProbeConfig::default());
-        assert_eq!(report, plain);
+        let probed = spec.execute(&RunOptions::default().with_probes(ProbeConfig::default()));
+        let probe = probed.probe.unwrap();
+        assert_eq!(probed.report, plain);
         assert!(probe.samples() > 0);
-        let (sharded, sharded_probe) = spec.run_workload_probed_sharded(ProbeConfig::default(), 3);
-        assert_eq!(sharded, plain);
+        let sharded = spec.execute(&RunOptions::sharded(3).with_probes(ProbeConfig::default()));
+        let sharded_probe = sharded.probe.unwrap();
+        assert_eq!(sharded.report, plain);
         assert_eq!(
             sharded_probe.series().delivered.samples(),
             probe.series().delivered.samples()
@@ -1175,7 +829,9 @@ mod tests {
             global_offset: 2,
             local_offset: 1,
         };
-        let report = spec.run_batch(3, 100_000);
+        let report = spec
+            .execute_batch(3, 100_000, &RunOptions::default())
+            .report;
         assert!(!report.deadlock_detected);
         assert!(!report.timed_out);
         assert_eq!(report.packets_delivered, report.packets_total);

@@ -3,7 +3,9 @@
 //! This crate glues the topology, simulator, routing mechanisms and traffic patterns
 //! into the experiment protocols of the paper:
 //!
-//! * [`ExperimentSpec`] / [`ExperimentBuilder`] — one steady-state or burst run,
+//! * [`ExperimentSpec`] / [`ExperimentBuilder`] — one steady-state, workload,
+//!   churn or burst run, through [`ExperimentSpec::execute`] /
+//!   [`ExperimentSpec::execute_batch`] with [`RunOptions`] (engine, probes),
 //! * [`sweep`] — the load, threshold, traffic-mix and workload-interference sweeps
 //!   behind each figure,
 //! * [`runner`] — [`SweepRunner`], the orchestration layer every figure/workload
@@ -36,8 +38,9 @@ pub mod runner;
 pub mod sweep;
 
 pub use csv::CsvWriter;
-pub use experiment::{ExperimentBuilder, ExperimentSpec, FlowControlKind, TrafficKind};
-pub use parallel::{run_batches_parallel, run_parallel, run_workloads_parallel};
+pub use experiment::{
+    Engine, ExperimentBuilder, ExperimentSpec, FlowControlKind, RunOptions, RunOutcome, TrafficKind,
+};
 pub use runner::{effective_jobs, SweepRunner};
 pub use sweep::{
     churn_sweep, interference_sweep, load_sweep, mix_sweep, threshold_sweep, ChurnSweep,

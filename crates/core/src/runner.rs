@@ -2,8 +2,12 @@
 //!
 //! A [`SweepRunner`] takes any list of [`ExperimentSpec`] points — a load sweep, a
 //! mechanism × pattern grid, a placement × aggressor-load workload grid — and
-//! executes them through the scoped-thread executor of [`crate::parallel`] with
+//! executes them through the scoped-thread executor of [`crate::parallel`], one
+//! run method per report type ([`SweepRunner::run`], [`SweepRunner::run_batches`]),
+//! with
 //!
+//! * the same [`RunOptions`] for every point: the engine ([`SweepRunner::shards`])
+//!   and the probes ([`SweepRunner::probes`]),
 //! * a configurable worker count ([`SweepRunner::jobs`], `None` = all cores),
 //! * a `--sequential` escape hatch that runs the same points in a plain in-order
 //!   loop on the calling thread ([`SweepRunner::sequential`]),
@@ -26,15 +30,15 @@
 //! spec.measure = 400;
 //! spec.drain = 400;
 //! let specs = vec![spec.clone(), spec];
-//! let reports = SweepRunner::new("doc sweep").quiet().run_steady(&specs);
-//! assert_eq!(reports.len(), 2);
-//! assert_eq!(reports[0], reports[1]);
+//! let outcomes = SweepRunner::new("doc sweep").quiet().run(&specs);
+//! assert_eq!(outcomes.len(), 2);
+//! assert_eq!(outcomes[0].report, outcomes[1].report);
 //! ```
 
-use crate::experiment::ExperimentSpec;
+use crate::experiment::{Engine, ExperimentSpec, RunOptions, RunOutcome};
 use crate::parallel;
-use dragonfly_probe::{ProbeConfig, ProbeRecorder};
-use dragonfly_stats::{BatchReport, SimReport, WorkloadReport};
+use dragonfly_probe::ProbeConfig;
+use dragonfly_stats::{BatchReport, WorkloadReport};
 use std::sync::mpsc;
 use std::time::Instant;
 
@@ -45,8 +49,8 @@ pub struct SweepRunner {
     label: String,
     /// Worker-thread count; `None` uses every hardware thread.
     jobs: Option<usize>,
-    /// Shards per simulation point (1 = the sequential engine).
-    shards: usize,
+    /// The engine and probes every point runs with.
+    options: RunOptions,
     /// Run the points in a plain in-order loop on the calling thread.
     sequential: bool,
     /// Emit the progress/ETA line on stderr.
@@ -73,7 +77,7 @@ impl SweepRunner {
         Self {
             label: label.into(),
             jobs: None,
-            shards: 1,
+            options: RunOptions::default(),
             sequential: false,
             progress: true,
         }
@@ -92,7 +96,11 @@ impl SweepRunner {
     /// printed when the cap bites).
     pub fn shards(mut self, shards: usize) -> Self {
         assert!(shards >= 1, "a sweep point needs at least one shard");
-        self.shards = shards;
+        self.options.engine = if shards > 1 {
+            Engine::Sharded(shards)
+        } else {
+            Engine::Sequential
+        };
         self
     }
 
@@ -109,135 +117,38 @@ impl SweepRunner {
         self
     }
 
-    /// Run every steady-state point (see [`ExperimentSpec::run`]), in spec order.
-    /// With [`SweepRunner::shards`] > 1 each point runs on the sharded engine
-    /// ([`ExperimentSpec::run_sharded`]) with byte-identical reports.
-    pub fn run_steady(&self, specs: &[ExperimentSpec]) -> Vec<SimReport> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| specs[i].run_sharded(self.shards))
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run())
-        }
+    /// Install `probes` on every point (`None` = no probes).  Probes are
+    /// read-only: the reports are byte-identical to an unprobed sweep, and
+    /// each outcome carries its point's recorder.
+    pub fn probes(mut self, probes: Option<ProbeConfig>) -> Self {
+        self.options.probes = probes;
+        self
     }
 
-    /// Run every workload or churn point (see [`ExperimentSpec::run_workload`]),
-    /// in spec order, returning the per-job breakdowns.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any spec's traffic is neither [`crate::TrafficKind::Workload`]
-    /// nor [`crate::TrafficKind::Churn`].
-    pub fn run_workloads(&self, specs: &[ExperimentSpec]) -> Vec<WorkloadReport> {
-        assert!(
-            specs.iter().all(|s| s.traffic.has_jobs()),
-            "run_workloads requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic on every spec"
-        );
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_sharded(self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run_workload())
-        }
+    /// Run every point (see [`ExperimentSpec::execute`]), in spec order:
+    /// steady-state points report an empty `jobs` list, workload and churn
+    /// points their per-job breakdowns.
+    pub fn run(&self, specs: &[ExperimentSpec]) -> Vec<RunOutcome<WorkloadReport>> {
+        self.execute(
+            specs.len(),
+            |i| specs[i].label(),
+            |i| specs[i].execute(&self.options),
+        )
     }
 
-    /// Run every steady-state point with observability probes installed (see
-    /// [`ExperimentSpec::run_probed`]), in spec order, returning each point's
-    /// recorder alongside its report.  Probes are read-only: the reports are
-    /// byte-identical to [`SweepRunner::run_steady`].
-    pub fn run_steady_probed(
-        &self,
-        specs: &[ExperimentSpec],
-        probes: &ProbeConfig,
-    ) -> Vec<(SimReport, ProbeRecorder)> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_probed_sharded(probes.clone(), self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| specs[i].run_probed(probes.clone()))
-        }
-    }
-
-    /// Run every workload or churn point with probes installed (see
-    /// [`ExperimentSpec::run_workload_probed`]), in spec order.
-    ///
-    /// # Panics
-    ///
-    /// Panics when any spec's traffic is neither [`crate::TrafficKind::Workload`]
-    /// nor [`crate::TrafficKind::Churn`].
-    pub fn run_workloads_probed(
-        &self,
-        specs: &[ExperimentSpec],
-        probes: &ProbeConfig,
-    ) -> Vec<(WorkloadReport, ProbeRecorder)> {
-        assert!(
-            specs.iter().all(|s| s.traffic.has_jobs()),
-            "run_workloads_probed requires TrafficKind::Workload or TrafficKind::Churn \
-             traffic on every spec"
-        );
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_probed_sharded(probes.clone(), self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_workload_probed(probes.clone())
-            })
-        }
-    }
-
-    /// Run every point in burst-consumption mode (see [`ExperimentSpec::run_batch`]),
-    /// in spec order.
+    /// Run every point in burst-consumption mode (see
+    /// [`ExperimentSpec::execute_batch`]), in spec order.
     pub fn run_batches(
         &self,
         specs: &[ExperimentSpec],
         packets_per_node: u64,
         max_cycles: u64,
-    ) -> Vec<BatchReport> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_sharded(packets_per_node, max_cycles, self.shards)
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch(packets_per_node, max_cycles)
-            })
-        }
-    }
-
-    /// Run every point in burst-consumption mode with probes installed (see
-    /// [`ExperimentSpec::run_batch_probed`]), in spec order.  Probes are
-    /// read-only: the reports are byte-identical to
-    /// [`SweepRunner::run_batches`].
-    pub fn run_batches_probed(
-        &self,
-        specs: &[ExperimentSpec],
-        packets_per_node: u64,
-        max_cycles: u64,
-        probes: &ProbeConfig,
-    ) -> Vec<(BatchReport, ProbeRecorder)> {
-        let label = |i: usize| specs[i].label();
-        if self.shards > 1 {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_probed_sharded(
-                    packets_per_node,
-                    max_cycles,
-                    probes.clone(),
-                    self.shards,
-                )
-            })
-        } else {
-            self.execute(specs.len(), label, |i| {
-                specs[i].run_batch_probed(packets_per_node, max_cycles, probes.clone())
-            })
-        }
+    ) -> Vec<RunOutcome<BatchReport>> {
+        self.execute(
+            specs.len(),
+            |i| specs[i].label(),
+            |i| specs[i].execute_batch(packets_per_node, max_cycles, &self.options),
+        )
     }
 
     /// Execute `total` independent points, preserving index order.
@@ -287,12 +198,16 @@ impl SweepRunner {
             let cores = std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4);
-            let workers = effective_jobs(self.jobs, self.shards, cores);
-            if self.progress && self.shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
+            let shards = match self.options.engine {
+                Engine::Sharded(shards) => shards,
+                Engine::Sequential => 1,
+            };
+            let workers = effective_jobs(self.jobs, shards, cores);
+            if self.progress && shards > 1 && workers < self.jobs.unwrap_or(cores).max(1) {
                 eprintln!(
                     "  {}: capping sweep workers to {workers} ({} shards/point on \
                      {cores} cores)",
-                    self.label, self.shards
+                    self.label, shards
                 );
             }
             parallel::run_indexed(total, Some(workers), |i| {
@@ -398,16 +313,11 @@ mod tests {
             quick_spec(RoutingKind::Olm, 0.2, 2),
             quick_spec(RoutingKind::Piggybacking, 0.3, 3),
         ];
-        let par = SweepRunner::new("t")
-            .quiet()
-            .jobs(Some(3))
-            .run_steady(&specs);
-        let seq = SweepRunner::new("t")
-            .quiet()
-            .sequential(true)
-            .run_steady(&specs);
+        let par = RunOutcome::reports(SweepRunner::new("t").quiet().jobs(Some(3)).run(&specs));
+        let seq = RunOutcome::reports(SweepRunner::new("t").quiet().sequential(true).run(&specs));
         assert_eq!(par, seq);
-        assert_eq!(par[1].routing, "OLM");
+        assert_eq!(par[1].aggregate.routing, "OLM");
+        assert!(par.iter().all(|r| r.jobs.is_empty()));
     }
 
     #[test]
@@ -421,18 +331,11 @@ mod tests {
                 spec
             })
             .collect();
-        let reports = SweepRunner::new("t").quiet().run_workloads(&specs);
+        let reports = RunOutcome::reports(SweepRunner::new("t").quiet().run(&specs));
         assert_eq!(reports.len(), 2);
         assert_eq!(reports[0].aggregate.routing, "Minimal");
         assert_eq!(reports[1].aggregate.routing, "OLM");
         assert_eq!(reports[0].jobs.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires TrafficKind::Workload")]
-    fn run_workloads_rejects_plain_traffic() {
-        let specs = vec![quick_spec(RoutingKind::Minimal, 0.1, 1)];
-        let _ = SweepRunner::new("t").quiet().run_workloads(&specs);
     }
 
     #[test]
@@ -441,21 +344,25 @@ mod tests {
             quick_spec(RoutingKind::Olm, 1.0, 7),
             quick_spec(RoutingKind::Rlm, 1.0, 8),
         ];
-        let par = SweepRunner::new("t")
-            .quiet()
-            .run_batches(&specs, 2, 100_000);
-        let seq = SweepRunner::new("t")
-            .quiet()
-            .sequential(true)
-            .run_batches(&specs, 2, 100_000);
+        let par = RunOutcome::reports(
+            SweepRunner::new("t")
+                .quiet()
+                .run_batches(&specs, 2, 100_000),
+        );
+        let seq = RunOutcome::reports(
+            SweepRunner::new("t")
+                .quiet()
+                .sequential(true)
+                .run_batches(&specs, 2, 100_000),
+        );
         assert_eq!(par, seq);
         assert!(par.iter().all(|r| !r.timed_out));
     }
 
     #[test]
     fn empty_sweep_is_fine() {
-        let reports = SweepRunner::new("t").run_steady(&[]);
-        assert!(reports.is_empty());
+        let outcomes = SweepRunner::new("t").run(&[]);
+        assert!(outcomes.is_empty());
     }
 
     #[test]
@@ -483,8 +390,8 @@ mod tests {
             quick_spec(RoutingKind::Minimal, 0.1, 1),
             quick_spec(RoutingKind::Olm, 0.2, 2),
         ];
-        let plain = SweepRunner::new("t").quiet().run_steady(&specs);
-        let sharded = SweepRunner::new("t").quiet().shards(3).run_steady(&specs);
+        let plain = RunOutcome::reports(SweepRunner::new("t").quiet().run(&specs));
+        let sharded = RunOutcome::reports(SweepRunner::new("t").quiet().shards(3).run(&specs));
         assert_eq!(plain, sharded);
     }
 

@@ -119,7 +119,7 @@ pub struct InterferenceSweep {
 /// Build the interference-grid specification list, row-major (mechanism outer,
 /// placement middle, aggressor load inner).  Every spec carries
 /// [`TrafficKind::Workload`] traffic, so the points run through
-/// [`crate::SweepRunner::run_workloads`].
+/// [`crate::SweepRunner::run`].
 pub fn interference_sweep(sweep: &InterferenceSweep) -> Vec<ExperimentSpec> {
     let num_nodes = DragonflyParams::new(sweep.base.h).num_nodes();
     let mut specs = Vec::with_capacity(
@@ -162,7 +162,7 @@ pub struct ChurnSweep {
 
 /// Build the churn-grid specification list, row-major (mechanism outer, trace
 /// inner).  Every spec carries [`TrafficKind::Churn`] traffic, so the points run
-/// through [`crate::SweepRunner::run_workloads`].
+/// through [`crate::SweepRunner::run`].
 pub fn churn_sweep(sweep: &ChurnSweep) -> Vec<ExperimentSpec> {
     let mut specs = Vec::with_capacity(sweep.mechanisms.len() * sweep.traces.len());
     for &mechanism in &sweep.mechanisms {

@@ -11,6 +11,12 @@
 //! cycles, so the receiving shard observes exactly the timing the sequential
 //! engine would have produced.
 //!
+//! [`ShardedSimulation`] runs the shared protocols of
+//! [`dragonfly_sim::protocol`]: the orchestrator thread drives the same
+//! steady-state, workload, trace and burst loops the sequential engine runs,
+//! through a `Driver` that broadcasts each control call to the workers, and
+//! the report is built from the merged per-shard collector.
+//!
 //! # How a sharded cycle works
 //!
 //! Each shard owns a contiguous range of groups and runs on its own scoped
@@ -84,18 +90,17 @@
 use dragonfly_probe::{ProbeConfig, ProbeRecorder};
 use dragonfly_sched::{ScheduleRuntime, Trace};
 use dragonfly_sim::{
-    job_report, phase_report, sim_report, span_overlap, CreditInFlight, LinkEnd, Network, Packet,
-    PacketId, PhaseIdentity, PhitInFlight, RoutingAlgorithm, SimConfig, SimRunIdentity,
-    StatsCollector, StorageFootprint,
+    CreditInFlight, LinkEnd, Network, Packet, PacketId, PhitInFlight, Protocol, RoutingAlgorithm,
+    SimConfig, StatsCollector, SteadyStateRun, Stepper, StorageFootprint,
 };
-use dragonfly_stats::{BatchReport, JobLifecycleReport, SimReport, WorkloadReport};
+use dragonfly_stats::SimReport;
 use dragonfly_topology::DragonflyParams;
-use dragonfly_traffic::{BernoulliInjection, BurstSpec, TrafficPattern};
+use dragonfly_traffic::{BernoulliInjection, TrafficPattern};
 use dragonfly_workload::WorkloadSpec;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Arc, Barrier, Mutex};
 
 /// How to partition one simulation across threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -171,25 +176,17 @@ struct ShardSlot {
     buffered: AtomicU64,
 }
 
+/// A [`Stepper`] call every worker applies to its own network.
+type Control = Arc<dyn Fn(&mut dyn Stepper) + Send + Sync>;
+
 /// Control messages broadcast from the orchestrator to every worker.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone)]
 enum Cmd {
     /// Advance one cycle (compute → export → barrier → import).
     Step,
-    /// Install/clear the global Bernoulli injection process.
-    SetInjection(Option<BernoulliInjection>),
-    /// Set whether newly generated packets are latency-tagged.
-    TagMeasured(bool),
-    /// Open the measurement window at the given cycle.
-    BeginMeasurement(u64),
-    /// Close the measurement window at the given cycle.
-    EndMeasurement(u64),
-    /// Preload every owned source queue with a burst.
-    PreloadBurst(u64),
-    /// Halt the schedule replicas (drain phase of the trace protocol).
-    HaltSched,
-    /// Remove the workload runtime and stop injection (burst protocol).
-    DropWorkload,
+    /// Apply one [`Stepper`] control call (injection, measurement window,
+    /// burst preload, schedule halt, workload drop) to every shard's network.
+    Control(Control),
     /// Leave the worker loop.
     Exit,
 }
@@ -226,10 +223,12 @@ impl Conductor {
     }
 }
 
-/// Orchestrator-side handle over a running worker set.
+/// Orchestrator-side handle over a running worker set: the sharded engine's
+/// side of the [`Stepper`] seam the shared run protocols drive.
 struct Driver<'a> {
     c: &'a Conductor,
-    shards: usize,
+    /// The cycle every shard is at (they step in lockstep).
+    cycle: u64,
 }
 
 impl Driver<'_> {
@@ -240,48 +239,65 @@ impl Driver<'_> {
         self.c.outer.wait();
     }
 
-    fn step(&self) {
+    /// Broadcast one control call for every worker to apply to its network.
+    fn control(&self, call: impl Fn(&mut dyn Stepper) + Send + Sync + 'static) {
+        self.dispatch(Cmd::Control(Arc::new(call)));
+    }
+
+    fn sum(&self, counter: impl Fn(&ShardSlot) -> &AtomicU64) -> u64 {
+        self.c
+            .slots
+            .iter()
+            .map(|s| counter(s).load(Ordering::Relaxed))
+            .sum()
+    }
+}
+
+impl Stepper for Driver<'_> {
+    fn set_injection(&mut self, injection: Option<BernoulliInjection>) {
+        self.control(move |net| net.set_injection(injection));
+    }
+    fn open_window(&mut self, cycle: u64) {
+        self.control(move |net| net.open_window(cycle));
+    }
+    fn close_window(&mut self, cycle: u64) {
+        self.control(move |net| net.close_window(cycle));
+    }
+    fn step(&mut self) {
         self.dispatch(Cmd::Step);
+        self.cycle += 1;
     }
-
-    fn run(&self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
+    fn cycle(&self) -> u64 {
+        self.cycle
     }
-
     fn total_generated(&self) -> u64 {
-        self.c
-            .slots
-            .iter()
-            .map(|s| s.generated.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|s| &s.generated)
     }
-
     fn total_delivered(&self) -> u64 {
-        self.c
-            .slots
-            .iter()
-            .map(|s| s.delivered.load(Ordering::Relaxed))
-            .sum()
+        self.sum(|s| &s.delivered)
     }
-
     fn deadlock(&self) -> bool {
         // The watchdog verdict is identical on every shard by construction.
         self.c.slots[0].deadlock.load(Ordering::Relaxed)
     }
-
-    fn all_drained(&self) -> bool {
+    fn drained(&self) -> bool {
         self.c
             .slots
             .iter()
-            .take(self.shards)
             .all(|s| s.drained.load(Ordering::Relaxed))
     }
-
     fn all_complete(&self) -> bool {
         // Schedule replicas are in lockstep; shard 0 speaks for all of them.
         self.c.slots[0].all_complete.load(Ordering::Relaxed)
+    }
+    fn halt_schedule(&mut self) {
+        self.control(|net| net.halt_schedule());
+    }
+    fn drop_workload(&mut self) {
+        self.control(|net| net.drop_workload());
+    }
+    fn preload_burst(&mut self, packets_per_node: u64) {
+        self.control(move |net| net.preload_burst(packets_per_node));
     }
 }
 
@@ -362,20 +378,9 @@ impl<R: RoutingAlgorithm> Shard<R> {
         // `exported > 0` on the sending side.
         let slot = &c.slots[self.id];
         slot.activity.store(activity, Ordering::Relaxed);
-        slot.live
-            .store(net.packets.live() > 0 || exported > 0, Ordering::Relaxed);
-        slot.drained
-            .store(net.is_drained() && exported == 0, Ordering::Relaxed);
-        slot.generated
-            .store(net.stats.total_generated, Ordering::Relaxed);
-        slot.delivered
-            .store(net.stats.total_delivered, Ordering::Relaxed);
         slot.buffered
             .store(net.buffered_phits_total(), Ordering::Relaxed);
-        slot.all_complete.store(
-            net.schedule().is_none_or(ScheduleRuntime::all_complete),
-            Ordering::Relaxed,
-        );
+        publish(net, slot, exported);
 
         // Everyone has exported and published.
         #[cfg(feature = "profile")]
@@ -445,23 +450,10 @@ impl<R: RoutingAlgorithm> Shard<R> {
     fn worker(&mut self, c: &Conductor) {
         loop {
             c.outer.wait();
-            let cmd = *c.cmd.lock().unwrap();
+            let cmd = c.cmd.lock().unwrap().clone();
             match cmd {
                 Cmd::Step => self.step(c),
-                Cmd::SetInjection(injection) => self.net.set_injection(injection),
-                Cmd::TagMeasured(tag) => self.net.tag_measured = tag,
-                Cmd::BeginMeasurement(cycle) => self.net.stats.begin_measurement(cycle),
-                Cmd::EndMeasurement(cycle) => self.net.stats.end_measurement(cycle),
-                Cmd::PreloadBurst(packets) => self.net.preload_burst(packets),
-                Cmd::HaltSched => {
-                    if let Some(sched) = self.net.schedule_mut() {
-                        sched.halt();
-                    }
-                }
-                Cmd::DropWorkload => {
-                    let _ = self.net.take_workload();
-                    self.net.set_injection(None);
-                }
+                Cmd::Control(call) => call(&mut self.net),
                 Cmd::Exit => {
                     c.outer.wait();
                     return;
@@ -471,38 +463,40 @@ impl<R: RoutingAlgorithm> Shard<R> {
             // control commands that change them outside a step (burst
             // preloads in particular), and so the protocol loops never read a
             // stale default from before the first step.
-            let slot = &c.slots[self.id];
-            slot.drained.store(self.net.is_drained(), Ordering::Relaxed);
-            slot.live
-                .store(self.net.packets.live() > 0, Ordering::Relaxed);
-            slot.all_complete.store(
-                self.net
-                    .schedule()
-                    .is_none_or(ScheduleRuntime::all_complete),
-                Ordering::Relaxed,
-            );
-            slot.generated
-                .store(self.net.stats.total_generated, Ordering::Relaxed);
-            slot.delivered
-                .store(self.net.stats.total_delivered, Ordering::Relaxed);
+            publish(&self.net, &c.slots[self.id], 0);
             c.outer.wait();
         }
     }
 }
 
+/// Publish a shard's liveness, drain and completion flags and its packet
+/// counters; `exported` counts the phits that left it this cycle.
+fn publish<R: RoutingAlgorithm>(net: &Network<R>, slot: &ShardSlot, exported: usize) {
+    slot.live
+        .store(net.packets.live() > 0 || exported > 0, Ordering::Relaxed);
+    slot.drained
+        .store(net.is_drained() && exported == 0, Ordering::Relaxed);
+    slot.generated
+        .store(net.stats.total_generated, Ordering::Relaxed);
+    slot.delivered
+        .store(net.stats.total_delivered, Ordering::Relaxed);
+    slot.all_complete.store(
+        net.schedule().is_none_or(ScheduleRuntime::all_complete),
+        Ordering::Relaxed,
+    );
+}
+
 /// A [`Simulation`](dragonfly_sim::Simulation) partitioned into per-group
 /// shards that step concurrently, producing byte-identical reports.
 ///
-/// The run protocols mirror the sequential engine's exactly —
-/// `run_steady_state`, `run_steady_state_workload`, `run_trace` and
-/// `run_batch` — and for the same configuration and seed return the very same
-/// bytes.  The routing mechanism must be `Clone` so that every shard can hold
-/// its own (stateless) instance.
+/// It runs the shared protocols ([`ShardedSimulation::run_protocol`], with
+/// [`ShardedSimulation::run_steady_state`] as the steady-state shorthand) and
+/// for the same configuration and seed returns the very same bytes as the
+/// sequential engine.  The routing mechanism must be `Clone` so that every
+/// shard can hold its own (stateless) instance.
 pub struct ShardedSimulation<R: RoutingAlgorithm + Clone> {
     shards: Vec<Shard<R>>,
-    params: DragonflyParams,
     packet_size: usize,
-    cycle: u64,
 }
 
 impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
@@ -566,9 +560,7 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
             .collect();
         Self {
             shards,
-            params,
             packet_size,
-            cycle: 0,
         }
     }
 
@@ -611,24 +603,22 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
 
     /// Spawn one scoped worker thread per shard, hand the orchestration
     /// protocol `f` a [`Driver`], and tear the workers down when it returns.
-    fn with_workers<T>(&mut self, f: impl FnOnce(&Driver<'_>) -> T) -> T {
-        let shards = self.shards.len();
-        let conductor = Conductor::new(shards);
-        let out = std::thread::scope(|scope| {
+    fn with_workers<T>(&mut self, f: impl FnOnce(&mut Driver<'_>) -> T) -> T {
+        let conductor = Conductor::new(self.shards.len());
+        let cycle = self.shards[0].net.cycle;
+        std::thread::scope(|scope| {
             for shard in self.shards.iter_mut() {
                 let c = &conductor;
                 scope.spawn(move || shard.worker(c));
             }
-            let driver = Driver {
+            let mut driver = Driver {
                 c: &conductor,
-                shards,
+                cycle,
             };
-            let out = f(&driver);
+            let out = f(&mut driver);
             driver.dispatch(Cmd::Exit);
             out
-        });
-        self.cycle = self.shards[0].net.cycle;
-        out
+        })
     }
 
     /// Install observability probes into every shard replica.
@@ -650,11 +640,6 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
                 probe.defer_detection();
             }
         }
-    }
-
-    /// Read access to one shard's probe recorder (tests, diagnostics).
-    pub fn probe(&self, shard: usize) -> Option<&ProbeRecorder> {
-        self.shards[shard].net.probe()
     }
 
     /// Merge the per-shard probe recorders into the run-wide recorder, exactly
@@ -704,8 +689,17 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         merged
     }
 
-    /// Run the paper's steady-state protocol across all shards; byte-identical
-    /// to [`Simulation::run_steady_state`](dragonfly_sim::Simulation::run_steady_state).
+    /// Run a protocol across all shards: prepare it against shard 0, run the
+    /// shared drive loop on the worker set, and report from the merged
+    /// collector.  The protocol code is the sequential engine's own (see
+    /// [`dragonfly_sim::protocol`]), so the two engines cannot diverge.
+    pub fn run_protocol<P: Protocol>(&mut self, mut protocol: P) -> P::Report {
+        protocol.prepare(&self.shards[0].net);
+        self.with_workers(|driver| protocol.drive(driver));
+        protocol.report(&self.merged_stats(), &self.shards[0].net)
+    }
+
+    /// Run the paper's steady-state protocol ([`SteadyStateRun`]).
     pub fn run_steady_state(
         &mut self,
         offered_load: f64,
@@ -713,257 +707,8 @@ impl<R: RoutingAlgorithm + Clone> ShardedSimulation<R> {
         measure: u64,
         drain: u64,
     ) -> SimReport {
-        let packet_size = self.packet_size;
-        let nodes = self.params.num_nodes();
-        let has_workload = self.shards[0].net.workload().is_some();
-        let start_cycle = self.cycle;
-        self.with_workers(|driver| {
-            if !has_workload {
-                driver.dispatch(Cmd::SetInjection(Some(BernoulliInjection::new(
-                    offered_load,
-                    packet_size,
-                ))));
-            }
-            driver.dispatch(Cmd::TagMeasured(false));
-            driver.run(warmup);
-            let start = start_cycle + warmup;
-            driver.dispatch(Cmd::BeginMeasurement(start));
-            driver.dispatch(Cmd::TagMeasured(true));
-            driver.run(measure);
-            driver.dispatch(Cmd::EndMeasurement(start + measure));
-            driver.dispatch(Cmd::TagMeasured(false));
-
-            let measured_goal = driver.total_generated();
-            let mut drained = 0;
-            while drained < drain && driver.total_delivered() < measured_goal && !driver.deadlock()
-            {
-                driver.step();
-                drained += 1;
-            }
-        });
-
-        sim_report(
-            &self.merged_stats(),
-            SimRunIdentity {
-                routing: self.shards[0].net.routing_name().to_string(),
-                traffic: self.shards[0].net.traffic_name(),
-                offered_load,
-                nodes,
-                warmup_cycles: warmup,
-                measure_cycles: measure,
-                deadlock_detected: self.shards[0].net.deadlock_detected,
-            },
-        )
-    }
-
-    /// Run an installed workload's steady-state protocol; byte-identical to
-    /// [`Simulation::run_steady_state_workload`](dragonfly_sim::Simulation::run_steady_state_workload).
-    pub fn run_steady_state_workload(
-        &mut self,
-        warmup: u64,
-        measure: u64,
-        drain: u64,
-    ) -> WorkloadReport {
-        let nodes = self.params.num_nodes();
-        let nominal = self.shards[0]
-            .net
-            .workload()
-            .expect("run_steady_state_workload requires an installed workload")
-            .nominal_offered_load(nodes);
-        let aggregate = self.run_steady_state(nominal, warmup, measure, drain);
-
-        let stats = self.merged_stats();
-        let meas_start = stats.meter.window_start;
-        let meas_end = stats.meter.window_end;
-        let meas_cycles = meas_end.saturating_sub(meas_start);
-        let runtime = self.shards[0].net.workload().unwrap();
-        let scoped = stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a workload is installed");
-
-        let jobs = (0..runtime.num_jobs())
-            .map(|j| {
-                let job = runtime.job(j as u16);
-                let phases = (0..job.phases())
-                    .map(|ph| {
-                        let overlap = span_overlap(
-                            (job.phase_start(ph), job.phase_end(ph)),
-                            (meas_start, meas_end),
-                        );
-                        phase_report(
-                            PhaseIdentity {
-                                job: job.name().to_string(),
-                                phase: ph,
-                                pattern: job.phase_pattern(ph).to_string(),
-                                offered_load: job.phase_load(ph),
-                                start_cycle: job.phase_start(ph),
-                                end_cycle: job.phase_end(ph),
-                            },
-                            &scoped.per_phase[j][ph],
-                            job.nodes(),
-                            overlap,
-                        )
-                    })
-                    .collect();
-                job_report(
-                    job.name().to_string(),
-                    &scoped.per_job[j],
-                    job.nodes(),
-                    meas_cycles,
-                    None,
-                    phases,
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
-    }
-
-    /// Run an installed job schedule to completion or `horizon`; byte-identical
-    /// to [`Simulation::run_trace`](dragonfly_sim::Simulation::run_trace).
-    ///
-    /// # Panics
-    ///
-    /// Panics without an installed schedule, or if the simulation has already
-    /// stepped.
-    pub fn run_trace(&mut self, horizon: u64, drain: u64) -> WorkloadReport {
-        assert!(
-            self.shards[0].net.schedule().is_some(),
-            "run_trace requires an installed schedule"
-        );
-        assert_eq!(self.cycle, 0, "run_trace requires a fresh simulation");
-        let nodes = self.params.num_nodes();
-        let packet_size = self.packet_size;
-
-        let end = self.with_workers(|driver| {
-            driver.dispatch(Cmd::BeginMeasurement(0));
-            driver.dispatch(Cmd::TagMeasured(true));
-            let mut cycle = 0;
-            while cycle < horizon && !driver.deadlock() {
-                driver.step();
-                cycle += 1;
-                if driver.all_complete() && driver.all_drained() {
-                    break;
-                }
-            }
-            let end = cycle;
-            driver.dispatch(Cmd::EndMeasurement(end));
-            driver.dispatch(Cmd::TagMeasured(false));
-            driver.dispatch(Cmd::HaltSched);
-            let mut drained = 0;
-            while drained < drain && !driver.all_drained() && !driver.deadlock() {
-                driver.step();
-                drained += 1;
-            }
-            end
-        });
-
-        let stats = self.merged_stats();
-        let runtime = self.shards[0].net.schedule().unwrap();
-        let aggregate = sim_report(
-            &stats,
-            SimRunIdentity {
-                routing: self.shards[0].net.routing_name().to_string(),
-                traffic: runtime.label().to_string(),
-                offered_load: runtime.nominal_offered_load(nodes),
-                nodes,
-                warmup_cycles: 0,
-                measure_cycles: end,
-                deadlock_detected: self.shards[0].net.deadlock_detected,
-            },
-        );
-        let scoped = stats
-            .scoped
-            .as_ref()
-            .expect("scoped statistics are enabled when a schedule is installed");
-
-        let jobs = (0..runtime.num_jobs() as u16)
-            .map(|j| {
-                let spec = runtime.job_spec(j);
-                let lifetime = runtime.lifetime(j);
-                let start = lifetime.placed.unwrap_or(end);
-                let stop = lifetime.completed.unwrap_or(end);
-                let resident = span_overlap((start, stop), (0, end));
-                let slowdown = match (lifetime.wait_cycles(), lifetime.service_cycles()) {
-                    (Some(wait), Some(service)) => {
-                        let ideal = runtime.ideal_service_cycles(j, packet_size);
-                        Some((wait + service) as f64 / ideal.max(1) as f64)
-                    }
-                    _ => None,
-                };
-                let phase = phase_report(
-                    PhaseIdentity {
-                        job: spec.name.clone(),
-                        phase: 0,
-                        pattern: spec.pattern.name(),
-                        offered_load: spec.offered_load,
-                        start_cycle: start,
-                        end_cycle: stop,
-                    },
-                    &scoped.per_phase[j as usize][0],
-                    spec.size,
-                    resident,
-                );
-                job_report(
-                    spec.name.clone(),
-                    &scoped.per_job[j as usize],
-                    spec.size,
-                    resident,
-                    Some(JobLifecycleReport {
-                        arrival_cycle: lifetime.arrival,
-                        placed_cycle: lifetime.placed,
-                        completion_cycle: lifetime.completed,
-                        wait_cycles: lifetime.wait_cycles(),
-                        slowdown,
-                    }),
-                    vec![phase],
-                )
-            })
-            .collect();
-        WorkloadReport { aggregate, jobs }
-    }
-
-    /// Run the burst-consumption protocol; byte-identical to
-    /// [`Simulation::run_batch`](dragonfly_sim::Simulation::run_batch).
-    pub fn run_batch(&mut self, burst: BurstSpec, max_cycles: u64) -> BatchReport {
-        assert_eq!(
-            burst.packet_size(),
-            self.packet_size,
-            "burst packet size must match the configured packet size"
-        );
-        assert!(
-            self.shards[0].net.schedule().is_none(),
-            "burst runs do not support dynamic schedules"
-        );
-        let start = self.cycle;
-        let (total, consumption) = self.with_workers(|driver| {
-            driver.dispatch(Cmd::DropWorkload);
-            driver.dispatch(Cmd::BeginMeasurement(start));
-            driver.dispatch(Cmd::PreloadBurst(burst.packets_per_node()));
-            let total = driver.total_generated();
-            let mut cycle = start;
-            while !driver.all_drained() && cycle - start < max_cycles && !driver.deadlock() {
-                driver.step();
-                cycle += 1;
-            }
-            driver.dispatch(Cmd::EndMeasurement(cycle));
-            (total, cycle - start)
-        });
-
-        let stats = self.merged_stats();
-        let drained = self.shards.iter().all(|s| s.net.is_drained());
-        let deadlock = self.shards[0].net.deadlock_detected;
-        BatchReport {
-            routing: self.shards[0].net.routing_name().to_string(),
-            traffic: self.shards[0].net.traffic_name(),
-            packets_per_node: burst.packets_per_node(),
-            packets_total: total,
-            packets_delivered: stats.total_delivered,
-            consumption_cycles: consumption,
-            avg_latency_cycles: stats.latency.mean(),
-            timed_out: !drained && !deadlock,
-            deadlock_detected: deadlock,
-        }
+        let run = SteadyStateRun::new(Some(offered_load), warmup, measure, drain);
+        self.run_protocol(run).aggregate
     }
 }
 
@@ -997,6 +742,30 @@ mod tests {
     fn plan_rejects_more_shards_than_groups() {
         let params = DragonflyParams::new(2);
         let _ = ShardPlan::new(10).group_ranges(&params);
+    }
+
+    #[test]
+    #[should_panic(expected = "warm-up + measure + drain")]
+    fn steady_state_window_past_u32_stamps_panics() {
+        let mut sim =
+            ShardedSimulation::new(config(1), ShardPlan::new(2), BaselineMinimal::new(), || {
+                Box::new(Uniform::new())
+            });
+        let _ = sim.run_steady_state(0.1, 0, u64::from(u32::MAX) - 50, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "horizon + drain")]
+    fn trace_window_past_u32_stamps_panics() {
+        use dragonfly_sched::scenarios::fragmentation_trace;
+        use dragonfly_sim::TraceRun;
+        let trace = fragmentation_trace(&DragonflyParams::new(2), false, 0.5, 0.1, 1_000, 4_000, 1);
+        let mut sim =
+            ShardedSimulation::new(config(1), ShardPlan::new(2), BaselineMinimal::new(), || {
+                Box::new(Uniform::new())
+            });
+        sim.install_schedule(&trace);
+        let _ = sim.run_protocol(TraceRun::new(u64::from(u32::MAX), 1_000));
     }
 
     #[test]

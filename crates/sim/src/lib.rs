@@ -13,7 +13,11 @@
 //!   re-evaluated every cycle (on-the-fly adaptivity),
 //! * statistics follow the paper's methodology: warm-up, measurement window, latency
 //!   of packets generated inside the window, accepted load at the ejection ports
-//!   ([`stats_collect`], [`engine`]).
+//!   ([`stats_collect`], [`engine`]),
+//! * the run protocols (steady state with its per-job workload breakdown,
+//!   trace, burst) are written
+//!   once against the [`protocol::Stepper`] seam and shared by every engine
+//!   ([`protocol`]).
 //!
 //! # Example
 //!
@@ -38,6 +42,7 @@ pub mod fabric;
 pub mod link;
 pub mod network;
 pub mod packet;
+pub mod protocol;
 pub mod ring;
 pub mod router;
 pub mod routing_iface;
@@ -46,15 +51,16 @@ pub mod stats_collect;
 pub use active_set::ActiveSet;
 pub use buffer::{PacketSlot, VcBuffer};
 pub use config::{FlowControl, SimConfig};
-pub use engine::{
-    job_report, phase_report, sim_report, span_overlap, PhaseIdentity, SimRunIdentity, Simulation,
-};
+pub use engine::Simulation;
 pub use fabric::{LinkFabric, LinkSpec};
 pub use link::{CreditInFlight, LinkEnd, PhitInFlight};
 #[cfg(feature = "profile")]
 pub use network::PhaseProfile;
 pub use network::{GlobalStatusBoard, Network, SourceQueue, StorageFootprint};
 pub use packet::{Packet, PacketArena, PacketId, RouteState, UNTAGGED};
+pub use protocol::{
+    sim_report, BatchRun, Protocol, SimRunIdentity, SteadyStateRun, Stepper, TraceRun,
+};
 pub use ring::{FixedRing, RingMeta};
 pub use router::{InputPort, InputVc, OutputPort, OutputVc, Router};
 pub use routing_iface::{

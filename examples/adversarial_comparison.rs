@@ -49,7 +49,12 @@ fn main() {
                 spec
             })
             .collect();
-        let reports = SweepRunner::new(label).quiet().run_steady(&specs);
+        let reports: Vec<_> = SweepRunner::new(label)
+            .quiet()
+            .run(&specs)
+            .into_iter()
+            .map(|outcome| outcome.report.aggregate)
+            .collect();
 
         println!("\n=== {label}, offered load {offered} phits/(node*cycle), h = {h} ===");
         println!(

@@ -14,7 +14,9 @@
 //! victim's groups.  The victim's tail latency and the per-job lifecycle columns
 //! quantify the fragmentation penalty per routing mechanism.
 
-use dragonfly::core::{churn_sweep, ChurnSweep, ExperimentSpec, RoutingKind, SweepRunner};
+use dragonfly::core::{
+    churn_sweep, ChurnSweep, ExperimentSpec, RoutingKind, RunOutcome, SweepRunner,
+};
 use dragonfly::sched::scenarios::fragmentation_trace;
 use dragonfly::topology::DragonflyParams;
 
@@ -60,7 +62,7 @@ fn main() {
         ],
     };
     let specs = churn_sweep(&sweep);
-    let reports = SweepRunner::new("churn study").run_workloads(&specs);
+    let reports = RunOutcome::reports(SweepRunner::new("churn study").run(&specs));
 
     println!(
         "\n{:<12} {:<6} {:>11} {:>11} {:>12} {:>10} {:>9} {:>9}",

@@ -14,7 +14,7 @@
 
 use std::fmt::Write as _;
 
-use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, RunOptions, TrafficKind};
 use dragonfly::probe::{DelayLedger, DelayRow, DELAY_COMPONENT_NAMES};
 use dragonfly::topology::DragonflyParams;
 
@@ -46,7 +46,11 @@ fn run(kind: RoutingKind, h: usize, warmup: u64, measure: u64) -> Study {
         delay: true,
         ..ProbeConfig::full(64)
     };
-    let (report, probe) = spec.run_probed(probes);
+    let outcome = spec.execute(&RunOptions::default().with_probes(probes));
+    let (report, probe) = (
+        outcome.report.aggregate,
+        outcome.probe.expect("probes installed"),
+    );
     let ledger: &DelayLedger = probe.delay_ledger().expect("delay ledger installed");
     assert!(ledger.folded() > 0, "{kind:?}: nothing delivered");
     assert_eq!(

@@ -12,7 +12,9 @@
 //! behind it; adaptive mechanisms (PB, OLM) divert around the hot channels and
 //! shield the victim.  The per-job breakdown quantifies exactly that.
 
-use dragonfly::core::{ExperimentSpec, RoutingKind, SweepRunner, TrafficKind, WorkloadSpec};
+use dragonfly::core::{
+    ExperimentSpec, RoutingKind, RunOutcome, SweepRunner, TrafficKind, WorkloadSpec,
+};
 
 fn main() {
     let h = 2;
@@ -59,9 +61,7 @@ fn main() {
     })
     .collect();
     // The three mechanism points are independent; run them in parallel.
-    let reports = SweepRunner::new("interference study")
-        .quiet()
-        .run_workloads(&specs);
+    let reports = RunOutcome::reports(SweepRunner::new("interference study").quiet().run(&specs));
     for report in &reports {
         let victim = report.job("victim").expect("victim job");
         let aggressor = report.job("aggressor").expect("aggressor job");

@@ -20,7 +20,7 @@
 //!
 //! CI runs this example as the probe smoke test.
 
-use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, ProbeConfig, RoutingKind, RunOptions, TrafficKind};
 use dragonfly::probe::{FLIGHT_DELIVER, FLIGHT_HOP, FLIGHT_INJECT};
 
 fn main() {
@@ -36,7 +36,11 @@ fn main() {
     println!("Running OLM under ADVG+1 (h = 2, load 0.3) with every probe instrument on...");
     let probes = ProbeConfig::full(128);
     let stride = probes.stride;
-    let (report, probe) = spec.run_probed(probes);
+    let outcome = spec.execute(&RunOptions::default().with_probes(probes));
+    let (report, probe) = (
+        outcome.report.aggregate,
+        outcome.probe.expect("probes installed"),
+    );
 
     // The cardinal invariant, checked live: probes only read.
     assert_eq!(

@@ -38,7 +38,12 @@ fn main() {
                 spec
             })
             .collect();
-        let reports = SweepRunner::new(label).quiet().run_steady(&specs);
+        let reports: Vec<_> = SweepRunner::new(label)
+            .quiet()
+            .run(&specs)
+            .into_iter()
+            .map(|outcome| outcome.report.aggregate)
+            .collect();
 
         println!("\n=== RLM threshold sweep under {label}, offered load {load} ===");
         println!(

@@ -11,7 +11,9 @@
 //! saturates minimal routing but stays deliverable for the adaptive mechanisms.
 //! Comparing the per-phase latencies of one run quantifies the transient cost.
 
-use dragonfly::core::{ExperimentSpec, RoutingKind, SweepRunner, TrafficKind, WorkloadSpec};
+use dragonfly::core::{
+    ExperimentSpec, RoutingKind, RunOutcome, SweepRunner, TrafficKind, WorkloadSpec,
+};
 
 fn main() {
     let h = 2;
@@ -52,9 +54,7 @@ fn main() {
     })
     .collect();
     // The three mechanism points are independent; run them in parallel.
-    let reports = SweepRunner::new("transient switch")
-        .quiet()
-        .run_workloads(&specs);
+    let reports = RunOutcome::reports(SweepRunner::new("transient switch").quiet().run(&specs));
     for report in &reports {
         let job = &report.jobs[0];
         for phase in &job.phases {

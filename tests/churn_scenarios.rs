@@ -3,8 +3,8 @@
 //! node-disjointness invariant under arrival/departure churn.
 
 use dragonfly::core::{
-    Completion, ExperimentSpec, JobPattern, PlacementPolicy, RoutingKind, SweepRunner, Trace,
-    TraceJob, TrafficKind,
+    Completion, ExperimentSpec, JobPattern, PlacementPolicy, RoutingKind, RunOutcome, SweepRunner,
+    Trace, TraceJob, TrafficKind,
 };
 use dragonfly::sched::scenarios::fragmentation_trace;
 use dragonfly::sched::SyntheticTrace;
@@ -170,7 +170,10 @@ fn fixed_trace_and_seed_reproduce_byte_identical_reports_across_runs_and_jobs() 
     // type-erased engine agrees with the monomorphized one.
     let first = spec.run_workload();
     assert_eq!(first, spec.run_workload());
-    assert_eq!(first, spec.run_workload_dyn());
+    assert_eq!(
+        first,
+        spec.build_simulation().run_trace(spec.measure, spec.drain)
+    );
 
     // The parse → emit → parse round-trip preserves behaviour, not just shape.
     let reparsed = Trace::parse(&spec.traffic.churn().unwrap().to_text()).unwrap();
@@ -179,15 +182,10 @@ fn fixed_trace_and_seed_reproduce_byte_identical_reports_across_runs_and_jobs() 
 
     // Worker count is presentation only: --jobs 1/2/4 give identical reports.
     let specs = vec![spec.clone(), spec.clone(), spec.clone()];
-    let sequential = SweepRunner::new("churn determinism")
-        .quiet()
-        .sequential(true)
-        .run_workloads(&specs);
+    let runner = SweepRunner::new("churn determinism").quiet();
+    let sequential = RunOutcome::reports(runner.clone().sequential(true).run(&specs));
     for jobs in [1, 2, 4] {
-        let parallel = SweepRunner::new("churn determinism")
-            .quiet()
-            .jobs(Some(jobs))
-            .run_workloads(&specs);
+        let parallel = RunOutcome::reports(runner.clone().jobs(Some(jobs)).run(&specs));
         assert_eq!(parallel, sequential, "--jobs {jobs} changed the reports");
     }
     assert_eq!(sequential[0], first);

@@ -6,13 +6,20 @@
 //! from the pipeline timing.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind, TrafficKind,
+    ExperimentSpec, FlowControlKind, ProbeConfig, ProbeRecorder, RoutingKind, RunOptions,
+    TrafficKind,
 };
 use dragonfly::probe::DelaySample;
 use dragonfly::rng::Rng;
 use dragonfly::sim::{BaselineMinimal, Network, SimConfig};
 use dragonfly::topology::NodeId;
 use dragonfly::traffic::Uniform;
+
+/// The recorder of `spec` run with the delay probes on `options`' engine.
+fn delay_probe(spec: &ExperimentSpec, options: RunOptions) -> ProbeRecorder {
+    let options = options.with_probes(delay_probes());
+    spec.execute(&options).probe.expect("probes were installed")
+}
 
 fn delay_probes() -> ProbeConfig {
     ProbeConfig {
@@ -61,7 +68,7 @@ fn components_conserve_across_mechanisms_and_flow_controls() {
             spec.measure = 600;
             spec.drain = 900;
             let label = format!("{routing:?}/{fc:?}");
-            let (_, probe) = spec.run_probed(delay_probes());
+            let probe = delay_probe(&spec, RunOptions::default());
             assert_conserves(&probe, &label);
             let ledger = probe.delay_ledger().unwrap();
             if routing == RoutingKind::Minimal {
@@ -110,7 +117,7 @@ fn components_conserve_under_seeded_random_configs() {
         spec.measure = 400;
         spec.drain = 600;
         let label = format!("case {case}: {routing:?}/{fc:?}/{traffic:?}@{load}");
-        let (_, probe) = spec.run_probed(delay_probes());
+        let probe = delay_probe(&spec, RunOptions::default());
         assert_conserves(&probe, &label);
     }
 }
@@ -126,10 +133,10 @@ fn sharded_merge_preserves_conservation_and_totals() {
     spec.warmup = 300;
     spec.measure = 600;
     spec.drain = 900;
-    let (_, sequential) = spec.run_probed(delay_probes());
+    let sequential = delay_probe(&spec, RunOptions::default());
     let folded = assert_conserves(&sequential, "sequential");
     for shards in [2usize, 4] {
-        let (_, merged) = spec.run_probed_sharded(delay_probes(), shards);
+        let merged = delay_probe(&spec, RunOptions::sharded(shards));
         let label = format!("{shards} shards");
         assert_eq!(assert_conserves(&merged, &label), folded);
         assert_eq!(

@@ -5,7 +5,7 @@
 //! statistics → experiment harness) exactly the way the figure binaries do, just at a
 //! reduced scale so they stay fast in debug builds.
 
-use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, RunOptions, TrafficKind};
 
 fn quick_spec(
     routing: RoutingKind,
@@ -121,7 +121,9 @@ fn burst_mode_delivers_every_packet_for_every_mechanism() {
             FlowControlKind::Vct,
             1.0,
         );
-        let report = spec.run_batch(3, 300_000);
+        let report = spec
+            .execute_batch(3, 300_000, &RunOptions::default())
+            .report;
         assert!(
             !report.deadlock_detected,
             "{kind:?} deadlocked in burst mode"

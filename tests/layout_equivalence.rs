@@ -19,8 +19,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, TrafficKind,
-    WorkloadSpec,
+    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, RunOptions,
+    TrafficKind, WorkloadSpec,
 };
 use dragonfly::sched::SyntheticTrace;
 use dragonfly::stats::{BatchReport, JobReport, PhaseReport, SimReport};
@@ -202,7 +202,9 @@ fn batch_matches_golden() {
         local_offset: 1,
     };
     spec.seed = 3;
-    let report = spec.run_batch(3, 100_000);
+    let report = spec
+        .execute_batch(3, 100_000, &RunOptions::default())
+        .report;
     assert!(!report.timed_out);
     check("batch_mixed_rlm", &render_batch(&report));
 }

@@ -5,7 +5,7 @@
 //! but the orderings these tests pin down are the paper's main claims and must hold
 //! at any scale.
 
-use dragonfly::core::{ExperimentSpec, RoutingKind, TrafficKind};
+use dragonfly::core::{ExperimentSpec, RoutingKind, RunOptions, TrafficKind};
 
 fn spec(h: usize, routing: RoutingKind, traffic: TrafficKind, load: f64) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(h);
@@ -157,10 +157,14 @@ fn burst_consumption_is_faster_with_local_misrouting() {
         global_offset: h,
         local_offset: 1,
     };
-    let pb = spec(h, RoutingKind::Piggybacking, mix.clone(), 1.0).run_batch(10, 2_000_000);
+    let pb = spec(h, RoutingKind::Piggybacking, mix.clone(), 1.0)
+        .execute_batch(10, 2_000_000, &RunOptions::default())
+        .report;
     assert!(!pb.timed_out);
     for kind in [RoutingKind::Olm, RoutingKind::Rlm] {
-        let report = spec(h, kind, mix.clone(), 1.0).run_batch(10, 2_000_000);
+        let report = spec(h, kind, mix.clone(), 1.0)
+            .execute_batch(10, 2_000_000, &RunOptions::default())
+            .report;
         assert!(!report.timed_out, "{kind:?} timed out");
         assert!(
             (report.consumption_cycles as f64) < pb.consumption_cycles as f64 * 0.95,

@@ -14,10 +14,34 @@
 //!    ring high-water marks are genuinely engine-dependent.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, ProbeConfig, RoutingKind, TrafficKind, WorkloadSpec,
+    Completion, ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, ProbeConfig,
+    ProbeRecorder, RoutingKind, RunOptions, SimReport, Trace, TraceJob, TrafficKind,
+    WorkloadReport, WorkloadSpec,
 };
 use dragonfly::probe::DelayLedger;
 use std::path::{Path, PathBuf};
+
+/// `spec` run with `probes` on `options`' engine: the full report and the
+/// (merged, on the sharded engine) recorder.
+fn probed_jobs(
+    spec: &ExperimentSpec,
+    probes: ProbeConfig,
+    options: RunOptions,
+) -> (WorkloadReport, ProbeRecorder) {
+    let outcome = spec.execute(&options.with_probes(probes));
+    let probe = outcome.probe.expect("probes were installed");
+    (outcome.report, probe)
+}
+
+/// [`probed_jobs`] reduced to the aggregate report.
+fn probed(
+    spec: &ExperimentSpec,
+    probes: ProbeConfig,
+    options: RunOptions,
+) -> (SimReport, ProbeRecorder) {
+    let (report, probe) = probed_jobs(spec, probes, options);
+    (report.aggregate, probe)
+}
 
 fn steady_spec(routing: RoutingKind, fc: FlowControlKind) -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -65,7 +89,7 @@ fn probes_never_perturb_any_mechanism_or_flow_control() {
                 plain.packets_measured > 0,
                 "{routing:?}/{fc:?}: nothing measured, the pin is vacuous"
             );
-            let (probed, probe) = spec.run_probed(full_probes());
+            let (probed, probe) = probed(&spec, full_probes(), RunOptions::default());
             assert_eq!(
                 probed, plain,
                 "{routing:?}/{fc:?}: probes perturbed the report"
@@ -78,17 +102,13 @@ fn probes_never_perturb_any_mechanism_or_flow_control() {
     }
 }
 
-#[test]
-fn probes_never_perturb_workload_and_churn_runs() {
-    use dragonfly::core::{Completion, JobPattern, PlacementPolicy, Trace, TraceJob};
-
+fn workload_spec() -> ExperimentSpec {
     let mut workload = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
     workload.traffic = TrafficKind::Workload(WorkloadSpec::interference(72, 1, 0.4, 0.1));
-    let plain = workload.run_workload();
-    let (probed, probe) = workload.run_workload_probed(full_probes());
-    assert_eq!(probed, plain, "probes perturbed the workload report");
-    assert!(probe.samples() > 0);
+    workload
+}
 
+fn churn_spec() -> ExperimentSpec {
     let mut churn = steady_spec(RoutingKind::Piggybacking, FlowControlKind::Vct);
     churn.traffic = TrafficKind::Churn(Trace::new(
         "probe-pin",
@@ -115,10 +135,76 @@ fn probes_never_perturb_workload_and_churn_runs() {
     ));
     churn.measure = 4_000;
     churn.drain = 2_000;
-    let plain = churn.run_workload();
-    let (probed, probe) = churn.run_workload_probed(full_probes());
-    assert_eq!(probed, plain, "probes perturbed the churn report");
+    churn
+}
+
+fn batch_spec() -> ExperimentSpec {
+    let mut batch = steady_spec(RoutingKind::Rlm, FlowControlKind::Vct);
+    batch.traffic = TrafficKind::Mixed {
+        global_fraction: 0.5,
+        global_offset: 2,
+        local_offset: 1,
+    };
+    batch
+}
+
+/// A merged sharded recorder equals the sequential one in every pinned output.
+fn assert_same_recorder(merged: &ProbeRecorder, sequential: &ProbeRecorder, label: &str) {
+    assert_eq!(merged.samples(), sequential.samples(), "{label}: samples");
+    for ((name, got), (_, want)) in merged
+        .series()
+        .columns()
+        .into_iter()
+        .zip(sequential.series().columns())
+    {
+        assert_eq!(got.samples(), want.samples(), "{label}: {name} series");
+    }
+    assert_eq!(
+        merged.sorted_flight(),
+        sequential.sorted_flight(),
+        "{label}: flight"
+    );
+    assert_eq!(
+        merged.heat_windows(),
+        sequential.heat_windows(),
+        "{label}: heat windows"
+    );
+}
+
+#[test]
+fn probes_never_perturb_workload_and_churn_runs() {
+    for (spec, what) in [(workload_spec(), "workload"), (churn_spec(), "churn")] {
+        let plain = spec.run_workload();
+        let (probed, probe) = probed_jobs(&spec, full_probes(), RunOptions::default());
+        assert_eq!(probed, plain, "probes perturbed the {what} report");
+        assert!(probe.samples() > 0);
+        // The sharded engine with probes: the same report, and a merged
+        // recorder equal to the sequential one.
+        let (probed, merged) = probed_jobs(&spec, full_probes(), RunOptions::sharded(2));
+        assert_eq!(probed, plain, "sharded probes perturbed the {what} report");
+        assert_same_recorder(&merged, &probe, what);
+    }
+}
+
+#[test]
+fn probes_never_perturb_batch_runs() {
+    let spec = batch_spec();
+    let batch = |options: RunOptions| spec.execute_batch(3, 100_000, &options);
+    let plain = batch(RunOptions::default()).report;
+    assert!(!plain.timed_out);
+    let sequential = batch(RunOptions::default().with_probes(full_probes()));
+    assert_eq!(
+        sequential.report, plain,
+        "probes perturbed the batch report"
+    );
+    let probe = sequential.probe.unwrap();
     assert!(probe.samples() > 0);
+    let sharded = batch(RunOptions::sharded(2).with_probes(full_probes()));
+    assert_eq!(
+        sharded.report, plain,
+        "sharded probes perturbed the batch report"
+    );
+    assert_same_recorder(&sharded.probe.unwrap(), &probe, "batch");
 }
 
 /// Fresh scratch directory under the target-local temp dir.
@@ -157,7 +243,7 @@ fn probe_files_are_byte_identical_across_shard_counts() {
     let spec = steady_spec(RoutingKind::Olm, FlowControlKind::Vct);
     let plain = spec.run();
 
-    let (report, probe) = spec.run_probed(full_probes());
+    let (report, probe) = probed(&spec, full_probes(), RunOptions::default());
     assert_eq!(report, plain);
     let seq_dir = scratch("seq");
     probe.write_all(&seq_dir, "probe").unwrap();
@@ -187,7 +273,7 @@ fn probe_files_are_byte_identical_across_shard_counts() {
     assert_eq!(seq_diag, vec!["probe_diag.csv".to_string()]);
 
     for shards in [2, 4] {
-        let (report, probe) = spec.run_probed_sharded(full_probes(), shards);
+        let (report, probe) = probed(&spec, full_probes(), RunOptions::sharded(shards));
         assert_eq!(report, plain, "{shards} shards: report diverged");
         let dir = scratch(&format!("shards{shards}"));
         probe.write_all(&dir, "probe").unwrap();
@@ -215,7 +301,7 @@ fn detectors_never_perturb_the_report() {
     for routing in [RoutingKind::Minimal, RoutingKind::Olm, RoutingKind::Rlm] {
         let spec = steady_spec(routing, FlowControlKind::Vct);
         let plain = spec.run();
-        let (probed, probe) = spec.run_probed(active_probes());
+        let (probed, probe) = probed(&spec, active_probes(), RunOptions::default());
         assert_eq!(
             probed, plain,
             "{routing:?}: armed detectors perturbed the report"
@@ -240,7 +326,7 @@ fn anomalous_spec() -> (ExperimentSpec, ProbeConfig) {
 #[test]
 fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
     let (spec, probes) = anomalous_spec();
-    let (report, probe) = spec.run_probed(probes.clone());
+    let (report, probe) = probed(&spec, probes.clone(), RunOptions::default());
     assert!(
         !probe.trips().is_empty(),
         "the forced-anomaly scenario must trip at least one detector, or this \
@@ -268,7 +354,7 @@ fn trigger_bundle_and_manifest_are_byte_identical_across_shard_counts() {
     }
 
     for shards in [2, 4] {
-        let (sharded_report, probe) = spec.run_probed_sharded(probes.clone(), shards);
+        let (sharded_report, probe) = probed(&spec, probes.clone(), RunOptions::sharded(shards));
         assert_eq!(sharded_report, report, "{shards} shards: report diverged");
         let dir = scratch(&format!("anomaly_shards{shards}"));
         probe

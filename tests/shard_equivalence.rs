@@ -5,8 +5,8 @@
 //! workload, churn trace), and independently of the shard count.
 
 use dragonfly::core::{
-    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, TrafficKind,
-    WorkloadSpec,
+    ExperimentSpec, FlowControlKind, JobPattern, PlacementPolicy, RoutingKind, RunOptions,
+    TrafficKind, WorkloadSpec,
 };
 use dragonfly::sched::SyntheticTrace;
 
@@ -85,7 +85,7 @@ fn workload_reports_are_shard_invariant() {
     assert_eq!(sequential.jobs.len(), 2);
     for shards in [1, 2, 4] {
         assert_eq!(
-            spec.run_workload_sharded(shards),
+            spec.execute(&RunOptions::sharded(shards)).report,
             sequential,
             "workload diverged with {shards} shards"
         );
@@ -124,8 +124,8 @@ fn churn_traces_are_shard_count_invariant() {
             .all(|j| j.lifecycle.as_ref().unwrap().completion_cycle.is_some()),
         "every synthetic job should finish inside the horizon"
     );
-    let two = spec.run_workload_sharded(2);
-    let four = spec.run_workload_sharded(4);
+    let two = spec.execute(&RunOptions::sharded(2)).report;
+    let four = spec.execute(&RunOptions::sharded(4)).report;
     assert_eq!(two, sequential, "churn diverged with 2 shards");
     assert_eq!(four, sequential, "churn diverged with 4 shards");
     // Shard-count invariance, stated directly.
@@ -144,11 +144,14 @@ fn batch_runs_are_shard_invariant() {
         local_offset: 1,
     };
     spec.seed = 3;
-    let sequential = spec.run_batch(3, 100_000);
+    let sequential = spec
+        .execute_batch(3, 100_000, &RunOptions::default())
+        .report;
     assert!(!sequential.timed_out);
     for shards in [2, 3] {
         assert_eq!(
-            spec.run_batch_sharded(3, 100_000, shards),
+            spec.execute_batch(3, 100_000, &RunOptions::sharded(shards))
+                .report,
             sequential,
             "batch diverged with {shards} shards"
         );

@@ -3,8 +3,8 @@
 //! (static-dispatch) engine must produce byte-identical reports to the type-erased
 //! (`Box<dyn RoutingAlgorithm>`) engine for the same seed.
 
-use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, TrafficKind};
-use dragonfly::traffic::BernoulliInjection;
+use dragonfly::core::{ExperimentSpec, FlowControlKind, RoutingKind, RunOptions, TrafficKind};
+use dragonfly::traffic::{BernoulliInjection, BurstSpec};
 
 const FLOW_CONTROLS: [FlowControlKind; 2] = [FlowControlKind::Vct, FlowControlKind::Wormhole];
 
@@ -69,7 +69,12 @@ fn static_and_dyn_dispatch_produce_identical_reports() {
             spec.measure = 800;
             spec.drain = 800;
             let static_report = spec.run();
-            let dyn_report = spec.run_dyn();
+            let dyn_report = spec.build_simulation().run_steady_state(
+                spec.offered_load,
+                spec.warmup,
+                spec.measure,
+                spec.drain,
+            );
             assert_eq!(
                 static_report,
                 dyn_report,
@@ -214,7 +219,11 @@ fn workload_static_and_dyn_dispatch_agree() {
         spec.drain = 1_200;
         assert_eq!(
             spec.run_workload(),
-            spec.run_workload_dyn(),
+            spec.build_simulation().run_steady_state_workload(
+                spec.warmup,
+                spec.measure,
+                spec.drain
+            ),
             "workload engines diverged for {}",
             kind.name()
         );
@@ -231,8 +240,12 @@ fn static_and_dyn_dispatch_produce_identical_batch_reports() {
         local_offset: 1,
     };
     spec.seed = 3;
-    let static_report = spec.run_batch(2, 100_000);
-    let dyn_report = spec.run_batch_dyn(2, 100_000);
+    let static_report = spec
+        .execute_batch(2, 100_000, &RunOptions::default())
+        .report;
+    let dyn_report = spec
+        .build_simulation()
+        .run_batch(BurstSpec::new(2, spec.flow_control.packet_size()), 100_000);
     assert_eq!(static_report, dyn_report);
     assert!(!static_report.deadlock_detected);
     assert!(!static_report.timed_out);

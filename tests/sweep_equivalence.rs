@@ -6,8 +6,13 @@
 
 use dragonfly::core::{
     interference_sweep, load_sweep, ExperimentSpec, FlowControlKind, InterferenceSweep, LoadSweep,
-    PlacementPolicy, RoutingKind, SweepRunner, TrafficKind,
+    PlacementPolicy, RoutingKind, RunOptions, RunOutcome, SimReport, SweepRunner, TrafficKind,
+    WorkloadReport,
 };
+
+fn aggregates(outcomes: Vec<RunOutcome<WorkloadReport>>) -> Vec<SimReport> {
+    outcomes.into_iter().map(|o| o.report.aggregate).collect()
+}
 
 fn quick_base() -> ExperimentSpec {
     let mut spec = ExperimentSpec::new(2);
@@ -50,14 +55,13 @@ fn workload_specs() -> Vec<ExperimentSpec> {
 fn steady_state_parallel_matches_sequential() {
     let specs = steady_specs();
     assert_eq!(specs.len(), 6);
-    let parallel = SweepRunner::new("equiv")
-        .quiet()
-        .jobs(Some(4))
-        .run_steady(&specs);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_steady(&specs);
+    let parallel = aggregates(SweepRunner::new("equiv").quiet().jobs(Some(4)).run(&specs));
+    let sequential = aggregates(
+        SweepRunner::new("equiv")
+            .quiet()
+            .sequential(true)
+            .run(&specs),
+    );
     let plain: Vec<_> = specs.iter().map(ExperimentSpec::run).collect();
     assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
@@ -71,14 +75,13 @@ fn steady_state_parallel_matches_sequential() {
 fn workload_parallel_matches_sequential() {
     let specs = workload_specs();
     assert_eq!(specs.len(), 4);
-    let parallel = SweepRunner::new("equiv")
-        .quiet()
-        .jobs(Some(4))
-        .run_workloads(&specs);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_workloads(&specs);
+    let parallel = RunOutcome::reports(SweepRunner::new("equiv").quiet().jobs(Some(4)).run(&specs));
+    let sequential = RunOutcome::reports(
+        SweepRunner::new("equiv")
+            .quiet()
+            .sequential(true)
+            .run(&specs),
+    );
     let plain: Vec<_> = specs.iter().map(ExperimentSpec::run_workload).collect();
     assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
@@ -108,14 +111,21 @@ fn batch_parallel_matches_sequential() {
             spec
         })
         .collect();
-    let parallel = SweepRunner::new("equiv")
-        .quiet()
-        .run_batches(&specs, 3, 200_000);
-    let sequential = SweepRunner::new("equiv")
-        .quiet()
-        .sequential(true)
-        .run_batches(&specs, 3, 200_000);
-    let plain: Vec<_> = specs.iter().map(|s| s.run_batch(3, 200_000)).collect();
+    let parallel = RunOutcome::reports(
+        SweepRunner::new("equiv")
+            .quiet()
+            .run_batches(&specs, 3, 200_000),
+    );
+    let sequential = RunOutcome::reports(
+        SweepRunner::new("equiv")
+            .quiet()
+            .sequential(true)
+            .run_batches(&specs, 3, 200_000),
+    );
+    let plain: Vec<_> = specs
+        .iter()
+        .map(|s| s.execute_batch(3, 200_000, &RunOptions::default()).report)
+        .collect();
     assert_eq!(parallel, sequential);
     assert_eq!(parallel, plain);
     assert!(parallel.iter().all(|r| !r.timed_out));
@@ -124,13 +134,7 @@ fn batch_parallel_matches_sequential() {
 #[test]
 fn runner_worker_count_does_not_change_results() {
     let specs = steady_specs();
-    let one = SweepRunner::new("equiv")
-        .quiet()
-        .jobs(Some(1))
-        .run_steady(&specs);
-    let many = SweepRunner::new("equiv")
-        .quiet()
-        .jobs(Some(8))
-        .run_steady(&specs);
+    let one = aggregates(SweepRunner::new("equiv").quiet().jobs(Some(1)).run(&specs));
+    let many = aggregates(SweepRunner::new("equiv").quiet().jobs(Some(8)).run(&specs));
     assert_eq!(one, many);
 }

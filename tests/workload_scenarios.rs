@@ -106,11 +106,13 @@ fn workload_reports_are_deterministic_and_static_dyn_agree() {
     let first: WorkloadReport = spec.run_workload();
     let second = spec.run_workload();
     assert_eq!(first, second, "same seed must give byte-identical reports");
-    let dynamic = spec.run_workload_dyn();
+    let dynamic =
+        spec.build_simulation()
+            .run_steady_state_workload(spec.warmup, spec.measure, spec.drain);
     assert_eq!(first, dynamic, "static and dyn workload engines diverged");
     // The aggregate-only path agrees with the workload aggregate.
     assert_eq!(spec.run(), first.aggregate);
-    assert_eq!(spec.run_dyn(), first.aggregate);
+    assert_eq!(dynamic.aggregate, first.aggregate);
 }
 
 /// The headline interference result: a minimal-routing aggressor measurably degrades
